@@ -20,10 +20,9 @@ the superseded directories stay on disk until explicitly pruned.
 Migration productionizes ``examples/schema_evolution.py``'s serial
 sketch: documents are replayed through the existing tree-edit mapping
 layer (:func:`repro.mapping.conform.conform_document`) **in parallel**
-via :class:`repro.runtime.parallel.ParallelMapper` -- the corpus
-engine's transport pattern with a parsed DTD as the per-worker state --
-and every migrated document is re-validated against the new DTD before
-the new version is published.
+over a stdlib process pool whose initializer parses the target DTD once
+per worker, and every migrated document is re-validated against the new
+DTD before the new version is published.
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.dom.serialize import to_xml_document
 from repro.dom.treeops import clone
@@ -48,7 +48,6 @@ from repro.mapping.persistence import (
 from repro.mapping.repository import RepositoryStats, XMLRepository
 from repro.mapping.tree_edit import tree_edit_distance
 from repro.mapping.validate import validate_document
-from repro.runtime.parallel import ParallelMapper
 from repro.schema.dtd import DTD
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,6 +71,19 @@ def _migration_state(
 ) -> tuple[DTD, bool]:
     """Per-worker state: the target DTD parsed exactly once."""
     return DTD.parse(dtd_text, root_name=root_name), measure_distance
+
+
+_WORKER_STATE: tuple[DTD, bool] | None = None
+
+
+def _init_migration_worker(*state_args) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = _migration_state(*state_args)
+
+
+def _migrate_in_worker(xml_text: str) -> dict:
+    assert _WORKER_STATE is not None, "migration worker initializer did not run"
+    return _migrate_one(_WORKER_STATE, xml_text)
 
 
 def _migrate_one(state: tuple[DTD, bool], xml_text: str) -> dict:
@@ -122,18 +134,31 @@ def migrate_documents(
     Returns the migrated XML (document order preserved) and a
     :class:`~repro.mapping.migrate.MigrationReport` identical to what
     the serial :func:`~repro.mapping.migrate.migrate_repository` path
-    reports for the same input.
+    reports for the same input.  ``max_workers=None`` uses every CPU;
+    ``1`` migrates inline, with no pool.  Errors propagate: a document
+    that cannot be migrated aborts the run.
     """
-    mapper = ParallelMapper(
-        _migrate_one,
-        state_factory=_migration_state,
-        state_args=(new_dtd.render(), new_dtd.root_name, measure_distance),
+    state_args = (new_dtd.render(), new_dtd.root_name, measure_distance)
+    if max_workers is None:
+        max_workers = os.cpu_count() or 1
+    if max_workers <= 1:
+        state = _migration_state(*state_args)
+        return _collect(_migrate_one(state, xml_text) for xml_text in xml_documents)
+    with ProcessPoolExecutor(
         max_workers=max_workers,
-        chunk_size=chunk_size,
-    )
+        initializer=_init_migration_worker,
+        initargs=state_args,
+    ) as pool:
+        return _collect(pool.map(
+            _migrate_in_worker, xml_documents, chunksize=max(1, chunk_size)
+        ))
+
+
+def _collect(results: Iterable[dict]) -> tuple[list[str], MigrationReport]:
+    """Fold per-document migration results, in order, into a report."""
     report = MigrationReport()
     migrated_xml: list[str] = []
-    for result in mapper.map(xml_documents):
+    for result in results:
         report.documents += 1
         migrated_xml.append(result["xml"])
         if result["conforming"]:

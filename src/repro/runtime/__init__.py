@@ -2,13 +2,12 @@
 
 * :mod:`repro.runtime.engine` -- :class:`CorpusEngine`: chunked
   process-pool conversion with a deterministic in-order merge, plus
-  schema discovery over merged path statistics.
+  schema discovery over merged path statistics; and ``WorkerPool``, the
+  one conversion worker pool (worker handshake, crash rebuild, killer
+  bisection) that the engine and the service both run on.
 * :mod:`repro.runtime.stats` -- :class:`EngineStats` / per-chunk
   instrumentation (rule timings, docs/sec, queue depth, failure
   counts).
-* :mod:`repro.runtime.parallel` -- :class:`ParallelMapper`, the generic
-  chunked process-pool mapper (in-order results, bounded pending window,
-  per-worker initializer state) reused by repository migration.
 * :mod:`repro.runtime.faults` -- the fault-tolerance layer:
   :class:`ErrorPolicy` (fail-fast / skip / quarantine),
   :class:`DocumentFailure` records, and worker-crash recovery
@@ -30,7 +29,6 @@ from repro.runtime.engine import (
     EngineConfig,
     EngineRun,
 )
-from repro.runtime.parallel import ParallelMapper
 from repro.runtime.faults import (
     DocumentFailure,
     ErrorPolicy,
@@ -53,7 +51,6 @@ __all__ = [
     "CorpusResult",
     "DiscoveryResult",
     "EngineRun",
-    "ParallelMapper",
     "PathAccumulator",
     "DocumentFailure",
     "ErrorPolicy",

@@ -3,10 +3,10 @@
 The paper's pipeline is embarrassingly parallel per document (Section 2
 conversion) and its schema discovery (Section 3) only consumes
 corpus-level path statistics -- so :class:`CorpusEngine` splits a corpus
-into chunks, converts the chunks in a ``ProcessPoolExecutor`` whose
-workers each build the :class:`~repro.convert.pipeline.DocumentConverter`
-(and its compiled synonym matcher) exactly once, and merges results back
-**in document order**::
+into chunks, converts the chunks on a :class:`WorkerPool` whose
+processes each hold the :class:`~repro.convert.pipeline.DocumentConverter`
+(and its compiled synonym matcher) for their whole life, and merges
+results back **in document order**::
 
     sources ──chunk──▶ worker pool (DocumentConverter per process)
                           │  per chunk: XML strings + PathAccumulator
@@ -24,17 +24,28 @@ bounded by the backpressure window regardless of corpus size, and the
 differential test harness can compare the engine byte-for-byte against
 the serial :meth:`DocumentConverter.convert_many` path.
 
-With ``max_workers=1`` the engine runs inline in the calling process
-(no pool, no pickling) -- the degenerate case the differential tests use
-to separate chunking effects from multiprocessing effects.
+With ``max_workers=1`` the pool runs inline in the calling process
+(no processes, no pickling) -- the degenerate case the differential
+tests use to separate chunking effects from multiprocessing effects.
+
+:class:`WorkerPool` is also the conversion service's pool
+(:mod:`repro.service.server`): the worker handshake, rebuild after a
+worker crash, and the bisection that isolates a worker-killing document
+live there once, for both.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import (
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -460,8 +471,8 @@ def _convert_chunk(
 
 
 @dataclass
-class _ChunkTask:
-    """A submitted chunk, kept resubmittable for crash recovery."""
+class ChunkTask:
+    """One chunk of work, kept resubmittable for crash recovery."""
 
     index: int
     base: int
@@ -471,7 +482,258 @@ class _ChunkTask:
     names: list[str] | None = None
 
     def args(self) -> tuple[int, int, list[str], list[str] | None]:
-        return (self.index, self.base, self.sources, self.names)
+        return self.segment(self.base, self.sources)
+
+    def segment(
+        self, base: int, sources: list[str]
+    ) -> tuple[int, int, list[str], list[str] | None]:
+        """The :func:`_convert_chunk` arguments for a run of this chunk's
+        documents (a bisection piece, or the whole chunk)."""
+        offset = base - self.base
+        names = None if self.names is None else self.names[offset : offset + len(sources)]
+        return (self.index, base, sources, names)
+
+
+# -- the worker pool ----------------------------------------------------------
+
+
+class PoolClosed(RuntimeError):
+    """A chunk was submitted after the pool shut down."""
+
+
+# Setting _PREFORK_CONVERTER and forking must not interleave across
+# threads (the service salvages off its event loop), or one pool's
+# workers would fork holding another pool's converter.
+_SPAWN_LOCK = threading.Lock()
+
+
+class WorkerPool:
+    """The conversion worker pool behind both the engine and the service.
+
+    ``workers`` processes each hold one converter.  ``workers == 1``
+    runs chunks inline, on one thread of the caller's process: no
+    processes, the caller's tracer and provenance log record directly,
+    and an asyncio caller's event loop stays free.  The pool owns:
+
+    * the prefork handshake -- workers launch while ``_PREFORK_CONVERTER``
+      is this pool's converter, on start and on every rebuild, so under
+      fork each adopts it copy-on-write;
+    * submission of :func:`_convert_chunk` tasks;
+    * :meth:`rebuild`, exactly once per broken process pool however many
+      futures saw it break;
+    * :meth:`salvage`, the bisection that isolates worker-killing
+      documents under a :class:`RecoveryBudget`.
+
+    The killer-proof rule: a document is reported as a worker-killer only
+    if a pool broke while that document was the only work in flight on
+    it.  Salvage therefore runs one segment at a time on a private
+    one-process executor, serialized by a lock, while other chunks keep
+    running on the main one.
+    """
+
+    def __init__(
+        self,
+        converter: DocumentConverter,
+        workers: int,
+        *,
+        policy: ErrorPolicy,
+        tracer: Tracer | NullTracer = NULL_TRACER,
+        provenance: ProvenanceLog | None = None,
+        collect_xml: bool = True,
+        sink: XmlSink | None = None,
+    ) -> None:
+        self.converter = converter
+        self.workers = max(1, workers)
+        self.policy = policy
+        self.tracer = tracer
+        self.provenance = provenance
+        self.collect_xml = collect_xml
+        self.sink = sink
+        # Bumped by every rebuild; callers hand back the generation they
+        # submitted on, so only the first to see a break replaces it.
+        self.generation = 0
+        self._executor: Executor | None = None
+        self._salvage_lock = threading.Lock()
+        self._closed = False
+
+    def start(self) -> "WorkerPool":
+        self._executor = (
+            self._spawn(self.workers)
+            if self.workers > 1
+            else ThreadPoolExecutor(max_workers=1)
+        )
+        return self
+
+    def _spawn(self, processes: int) -> ProcessPoolExecutor:
+        global _PREFORK_CONVERTER
+        converter = self.converter
+        with _SPAWN_LOCK:
+            _PREFORK_CONVERTER = converter
+            executor = ProcessPoolExecutor(
+                max_workers=processes,
+                initializer=_init_worker,
+                initargs=(
+                    converter.kb,
+                    converter.config,
+                    converter.bayes,
+                    self.tracer.enabled,
+                    self.provenance is not None,
+                    self.policy,
+                    self.collect_xml,
+                    self.sink,
+                ),
+            )
+            # Under fork the first submit launches every worker: do it
+            # now, while the handshake still names this pool's converter.
+            executor.submit(int)
+        return executor
+
+    def submit(self, task: ChunkTask) -> "Future[ChunkPayload]":
+        """Queue one chunk for conversion.
+
+        A pool that broke since its last rebuild refuses new work; the
+        chunk then gets a future that failed the way an in-flight one
+        did, so every caller recovers it on the one ``BrokenProcessPool``
+        path.
+        """
+        if self._closed:
+            raise PoolClosed("engine pool is shut down")
+        assert self._executor is not None, "pool not started"
+        if self.workers > 1:
+            try:
+                return self._executor.submit(_convert_chunk, task.args())
+            except BrokenProcessPool as exc:
+                broken: Future[ChunkPayload] = Future()
+                broken.set_exception(exc)
+                return broken
+        return self._executor.submit(
+            _run_chunk, self.converter, task.index, task.base, task.sources,
+            self.tracer, self.provenance, self.policy,
+            self.collect_xml, self.sink, task.names,
+        )
+
+    def rebuild(self, generation: int, budget: RecoveryBudget) -> None:
+        """Replace the broken executor that ``generation`` ran on (a no-op
+        when another caller already did), spending one unit of ``budget``."""
+        if generation != self.generation:
+            return
+        budget.spend()
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = self._spawn(self.workers)
+        self.generation += 1
+
+    def salvage(self, task: ChunkTask, budget: RecoveryBudget) -> ChunkPayload:
+        """Re-run a chunk that broke the pool, bisecting around killers.
+
+        The chunk's sources are a worklist of contiguous segments: one
+        that converts cleanly is kept whole; one that breaks the salvage
+        executor is split in half, spending one unit of ``budget`` (a
+        single document that breaks it is a proven killer and becomes a
+        ``stage="worker"`` failure).  The pieces are stitched back into
+        one payload with the chunk's original index.  Sink writes are
+        idempotent full-file replacements, so a re-run segment's
+        survivors simply overwrite what a pre-crash attempt wrote.
+        """
+        segments: deque[tuple[int, list[str]]] = deque([(task.base, task.sources)])
+        pieces: list[tuple[int, ChunkPayload | DocumentFailure]] = []
+        salvager: ProcessPoolExecutor | None = None
+        with self._salvage_lock:
+            try:
+                while segments:
+                    base, sources = segments.popleft()
+                    if salvager is None:
+                        salvager = self._spawn(1)
+                    future = salvager.submit(
+                        _convert_chunk, task.segment(base, sources)
+                    )
+                    try:
+                        pieces.append((base, future.result()))
+                    except BrokenProcessPool:
+                        salvager.shutdown(wait=False, cancel_futures=True)
+                        salvager = None
+                        budget.spend()
+                        if len(sources) > 1:
+                            segments.extendleft(
+                                reversed(split_segment(base, sources))
+                            )
+                        else:
+                            pieces.append((base, worker_crash_failure(
+                                f"doc{base:04d}",
+                                base,
+                                source=sources[0]
+                                if self.policy.captures_source
+                                else None,
+                            )))
+            finally:
+                if salvager is not None:
+                    salvager.shutdown(wait=False, cancel_futures=True)
+        return _stitch_chunk(task.index, pieces, self.provenance is not None)
+
+    def shutdown(self, *, wait: bool = True) -> None:
+        """Stop the workers; ``wait=False`` also cancels queued chunks."""
+        self._closed = True
+        if self._executor is not None:
+            self._executor.shutdown(wait=wait, cancel_futures=not wait)
+
+    def worker_pids(self) -> list[int]:
+        """Live worker process ids (empty for an inline pool)."""
+        return sorted(getattr(self._executor, "_processes", None) or {})
+
+
+def _stitch_chunk(
+    index: int,
+    pieces: list[tuple[int, ChunkPayload | DocumentFailure]],
+    provenance_on: bool,
+) -> ChunkPayload:
+    """Reassemble bisection pieces into one in-order chunk payload."""
+    xml: list[str] = []
+    accumulator = PathAccumulator()
+    stats = ChunkStats(index=index, documents=0)
+    spans: list[dict] = []
+    events: list[dict] = []
+    failures: list[DocumentFailure] = []
+    for base, piece in sorted(pieces, key=lambda item: item[0]):
+        if isinstance(piece, DocumentFailure):
+            stats.documents_failed += 1
+            stats.failures_by_stage[piece.stage] = (
+                stats.failures_by_stage.get(piece.stage, 0) + 1
+            )
+            failures.append(piece)
+            if provenance_on:
+                log = ProvenanceLog()
+                log.error_event(
+                    piece.doc_id,
+                    piece.stage,
+                    piece.error_type,
+                    piece.message,
+                    index=piece.index,
+                )
+                events.extend(log.events)
+            continue
+        xml.extend(piece.xml)
+        accumulator.update(piece.accumulator)
+        stats.fold(piece.stats)
+        if piece.spans:
+            # Each piece came from a fresh worker tracer whose span
+            # ids restart at w1; namespace per segment so the chunk
+            # prefix applied at adopt time stays collision-free.
+            for span in piece.spans:
+                span = dict(span)
+                span["id"] = f"b{base}.{span['id']}"
+                if span.get("parent") is not None:
+                    span["parent"] = f"b{base}.{span['parent']}"
+                spans.append(span)
+        if piece.events:
+            events.extend(piece.events)
+        failures.extend(piece.failures)
+    return ChunkPayload(
+        xml=xml,
+        accumulator=accumulator,
+        stats=stats,
+        spans=spans or None,
+        events=events or None,
+        failures=failures,
+    )
 
 
 def _chunked(sources: Iterable[str], sizer: ChunkSizer) -> Iterator[list[str]]:
@@ -594,29 +856,20 @@ class CorpusEngine:
                 progress(stats)
             return payload
 
-        if workers == 1:
-            converter = self._converter()
-            try:
-                for index, chunk in chunks:
-                    stats.max_queue_depth = max(stats.max_queue_depth, 1)
-                    # Inline: record straight into the caller's tracer --
-                    # nothing to re-parent, payload.spans stays None.
-                    payload = _run_chunk(
-                        converter, index, doc_cursor, chunk, tracer,
-                        provenance, policy, collect_xml, sink,
-                        chunk_names(doc_cursor, len(chunk)),
-                    )
-                    doc_cursor += len(chunk)
-                    yield merge(payload)
-            finally:
-                stats.wall_seconds = time.perf_counter() - started
-            return
-
-        max_pending = self.engine_config.resolved_pending(workers)
+        # An inline pool records straight into the caller's tracer and
+        # provenance log (nothing to re-parent: payload.spans stays
+        # None), so a one-chunk window keeps its conversion from
+        # overlapping the consumer's code and keeps the stream lazy.
+        max_pending = (
+            1 if workers == 1 else self.engine_config.resolved_pending(workers)
+        )
         budget = RecoveryBudget(self.engine_config.max_pool_rebuilds)
-        obs = (tracer.enabled, provenance is not None, collect_xml, sink)
-        pool = self._spawn_pool(workers, policy, *obs)
-        pending: deque[tuple[_ChunkTask, Future[ChunkPayload]]] = deque()
+        pool = WorkerPool(
+            self._converter(), workers, policy=policy,
+            tracer=tracer, provenance=provenance,
+            collect_xml=collect_xml, sink=sink,
+        ).start()
+        pending: deque[tuple[ChunkTask, Future[ChunkPayload]]] = deque()
         pending_docs = 0
         interrupted = False
 
@@ -630,14 +883,41 @@ class CorpusEngine:
                 return pending_docs >= max_pending * sizer.size
             return len(pending) >= max_pending
 
+        def take() -> ChunkPayload:
+            """Merge the oldest pending chunk, recovering worker crashes.
+
+            A dead worker surfaces as ``BrokenProcessPool`` on whichever
+            future is awaited -- not necessarily the chunk that killed
+            it -- and every other in-flight future died with it.  Under
+            fail-fast the error propagates; otherwise the pool is
+            rebuilt, the other chunks are resubmitted in order, and this
+            one is salvaged around its killer documents, so the in-order
+            merge never notices the detour.
+            """
+            nonlocal pending_docs
+            task, future = pending.popleft()
+            try:
+                payload = future.result()
+            except BrokenProcessPool:
+                if policy.is_fail_fast:
+                    raise
+                spent = budget.spent
+                pool.rebuild(pool.generation, budget)
+                for position, (other, _dead) in enumerate(pending):
+                    pending[position] = (other, pool.submit(other))
+                payload = pool.salvage(task, budget)
+                stats.record_pool_rebuild(budget.spent - spent)
+            pending_docs -= len(task.sources)
+            return merge(payload)
+
         try:
             for index, chunk in chunks:
-                task = _ChunkTask(
+                task = ChunkTask(
                     index, doc_cursor, chunk,
                     chunk_names(doc_cursor, len(chunk)),
                 )
                 doc_cursor += len(chunk)
-                pending.append((task, pool.submit(_convert_chunk, task.args())))
+                pending.append((task, pool.submit(task)))
                 pending_docs += len(chunk)
                 stats.max_queue_depth = max(
                     stats.max_queue_depth, len(pending)
@@ -645,21 +925,9 @@ class CorpusEngine:
                 # Backpressure: consume the oldest chunk (preserving
                 # document order) before submitting past the window.
                 while pending and window_full():
-                    payload, pool = self._next_payload(
-                        pending, pool, workers, policy, budget, stats, obs
-                    )
-                    pending_docs -= (
-                        payload.stats.documents + payload.stats.documents_failed
-                    )
-                    yield merge(payload)
+                    yield take()
             while pending:
-                payload, pool = self._next_payload(
-                    pending, pool, workers, policy, budget, stats, obs
-                )
-                pending_docs -= (
-                    payload.stats.documents + payload.stats.documents_failed
-                )
-                yield merge(payload)
+                yield take()
         except BaseException:
             # Any exceptional exit -- the consumer closing the stream
             # (GeneratorExit), Ctrl-C (KeyboardInterrupt), a progress
@@ -671,7 +939,7 @@ class CorpusEngine:
             raise
         finally:
             stats.wall_seconds = time.perf_counter() - started
-            pool.shutdown(wait=not interrupted, cancel_futures=interrupted)
+            pool.shutdown(wait=not interrupted)
 
     def convert_corpus(
         self,
@@ -822,207 +1090,6 @@ class CorpusEngine:
                 )
         return EngineRun(corpus=corpus, discovery=discovery)
 
-    # -- worker-crash recovery ----------------------------------------------
-
-    def _spawn_pool(
-        self,
-        workers: int,
-        policy: ErrorPolicy,
-        trace: bool,
-        provenance_on: bool,
-        collect_xml: bool = True,
-        sink: XmlSink | None = None,
-    ) -> ProcessPoolExecutor:
-        # Build (or reuse) the converter parent-side before forking so
-        # workers can inherit it copy-on-write -- _init_worker checks
-        # that its initargs are these same objects before reusing it.
-        global _PREFORK_CONVERTER
-        _PREFORK_CONVERTER = self._converter()
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(
-                self.kb,
-                self.config,
-                self.bayes,
-                trace,
-                provenance_on,
-                policy,
-                collect_xml,
-                sink,
-            ),
-        )
-
-    def _rebuild_pool(
-        self,
-        pool: ProcessPoolExecutor,
-        workers: int,
-        policy: ErrorPolicy,
-        budget: RecoveryBudget,
-        stats: EngineStats,
-        obs: tuple[bool, bool, bool, "XmlSink | None"],
-    ) -> ProcessPoolExecutor:
-        """Replace a broken pool (bounded by the recovery budget)."""
-        budget.spend()
-        stats.record_pool_rebuild()
-        pool.shutdown(wait=False, cancel_futures=True)
-        return self._spawn_pool(workers, policy, *obs)
-
-    def _next_payload(
-        self,
-        pending: deque[tuple[_ChunkTask, Future[ChunkPayload]]],
-        pool: ProcessPoolExecutor,
-        workers: int,
-        policy: ErrorPolicy,
-        budget: RecoveryBudget,
-        stats: EngineStats,
-        obs: tuple[bool, bool, bool, "XmlSink | None"],
-    ) -> tuple[ChunkPayload, ProcessPoolExecutor]:
-        """The oldest pending chunk's payload, recovering worker crashes.
-
-        A dead worker surfaces as ``BrokenProcessPool`` on whichever
-        future is awaited -- not necessarily the chunk that killed it.
-        Under fail-fast the error propagates (historical behavior);
-        otherwise the pool is rebuilt, the awaited chunk is re-run with
-        bisection (isolating any killer documents it contains as
-        :class:`DocumentFailure` records while salvaging its siblings),
-        and every other in-flight chunk is resubmitted in order, so the
-        in-order merge semantics survive the crash.
-        """
-        task, future = pending.popleft()
-        try:
-            return future.result(), pool
-        except BrokenProcessPool:
-            if policy.is_fail_fast:
-                raise
-            pool = self._rebuild_pool(pool, workers, policy, budget, stats, obs)
-            payload, pool = self._salvage_chunk(
-                pool, task, workers, policy, budget, stats, obs
-            )
-            # Every other in-flight future died with the pool; resubmit
-            # the chunks in their original order on the rebuilt pool.
-            for position, (other, _dead) in enumerate(pending):
-                pending[position] = (
-                    other, pool.submit(_convert_chunk, other.args())
-                )
-            return payload, pool
-
-    def _salvage_chunk(
-        self,
-        pool: ProcessPoolExecutor,
-        task: _ChunkTask,
-        workers: int,
-        policy: ErrorPolicy,
-        budget: RecoveryBudget,
-        stats: EngineStats,
-        obs: tuple[bool, bool, bool, "XmlSink | None"],
-    ) -> tuple[ChunkPayload, ProcessPoolExecutor]:
-        """Re-run one chunk, bisecting around worker-killing documents.
-
-        The chunk's sources are processed as a worklist of contiguous
-        segments: a segment that converts cleanly is kept whole; one
-        that breaks the pool again is split in half (single documents
-        are the proven killers and become ``stage="worker"`` failures).
-        The surviving pieces are stitched back into a single payload
-        with the chunk's original index, so the caller's in-order merge
-        never notices the detour.  Sink writes are idempotent full-file
-        replacements, so a re-run segment's survivors simply overwrite
-        the files any pre-crash attempt already produced.
-        """
-        segments: deque[tuple[int, list[str]]] = deque(
-            [(task.base, task.sources)]
-        )
-        pieces: list[tuple[int, ChunkPayload | DocumentFailure]] = []
-        while segments:
-            base, sources = segments.popleft()
-            names = (
-                None
-                if task.names is None
-                else task.names[base - task.base : base - task.base + len(sources)]
-            )
-            future = pool.submit(
-                _convert_chunk, (task.index, base, sources, names)
-            )
-            try:
-                pieces.append((base, future.result()))
-            except BrokenProcessPool:
-                pool = self._rebuild_pool(
-                    pool, workers, policy, budget, stats, obs
-                )
-                if len(sources) == 1:
-                    pieces.append(
-                        (
-                            base,
-                            worker_crash_failure(
-                                f"doc{base:04d}",
-                                base,
-                                source=sources[0]
-                                if policy.captures_source
-                                else None,
-                            ),
-                        )
-                    )
-                else:
-                    for segment in reversed(split_segment(base, sources)):
-                        segments.appendleft(segment)
-        return self._stitch_chunk(task.index, pieces, obs[1]), pool
-
-    @staticmethod
-    def _stitch_chunk(
-        index: int,
-        pieces: list[tuple[int, ChunkPayload | DocumentFailure]],
-        provenance_on: bool,
-    ) -> ChunkPayload:
-        """Reassemble bisection pieces into one in-order chunk payload."""
-        xml: list[str] = []
-        accumulator = PathAccumulator()
-        stats = ChunkStats(index=index, documents=0)
-        spans: list[dict] = []
-        events: list[dict] = []
-        failures: list[DocumentFailure] = []
-        for base, piece in sorted(pieces, key=lambda item: item[0]):
-            if isinstance(piece, DocumentFailure):
-                stats.documents_failed += 1
-                stats.failures_by_stage[piece.stage] = (
-                    stats.failures_by_stage.get(piece.stage, 0) + 1
-                )
-                failures.append(piece)
-                if provenance_on:
-                    log = ProvenanceLog()
-                    log.error_event(
-                        piece.doc_id,
-                        piece.stage,
-                        piece.error_type,
-                        piece.message,
-                        index=piece.index,
-                    )
-                    events.extend(log.events)
-                continue
-            xml.extend(piece.xml)
-            accumulator.update(piece.accumulator)
-            stats.fold(piece.stats)
-            if piece.spans:
-                # Each piece came from a fresh worker tracer whose span
-                # ids restart at w1; namespace per segment so the chunk
-                # prefix applied at adopt time stays collision-free.
-                for span in piece.spans:
-                    span = dict(span)
-                    span["id"] = f"b{base}.{span['id']}"
-                    if span.get("parent") is not None:
-                        span["parent"] = f"b{base}.{span['parent']}"
-                    spans.append(span)
-            if piece.events:
-                events.extend(piece.events)
-            failures.extend(piece.failures)
-        return ChunkPayload(
-            xml=xml,
-            accumulator=accumulator,
-            stats=stats,
-            spans=spans or None,
-            events=events or None,
-            failures=failures,
-        )
-
     # -- internals -----------------------------------------------------------
 
     def new_stats(self) -> EngineStats:
@@ -1033,7 +1100,8 @@ class CorpusEngine:
         )
 
     def _converter(self) -> DocumentConverter:
-        """The lazily built converter for the inline (1-worker) path."""
+        """The lazily built converter: inline runs use it, and pool
+        workers adopt it copy-on-write under fork."""
         if self._inline_converter is None:
             self._inline_converter = DocumentConverter(
                 self.kb, self.config, self.bayes

@@ -370,8 +370,8 @@ class EngineStats:
         """Worker-pool rebuilds performed by crash recovery."""
         return self._count(POOL_REBUILDS)
 
-    def record_pool_rebuild(self) -> None:
-        self.registry.counter(POOL_REBUILDS).inc()
+    def record_pool_rebuild(self, count: int = 1) -> None:
+        self.registry.counter(POOL_REBUILDS).inc(count)
 
     @property
     def wall_seconds(self) -> float:

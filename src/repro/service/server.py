@@ -1,4 +1,4 @@
-"""The asyncio HTTP server over the warm engine pool.
+"""The asyncio HTTP server over the warm worker pools.
 
 Hand-rolled HTTP/1.1 on :func:`asyncio.start_server` (stdlib-only, like
 everything else in the reproduction): request line + headers +
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import json
 import signal
 import time
@@ -32,8 +33,17 @@ from typing import Callable
 
 from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.config import ConversionConfig
+from repro.convert.pipeline import DocumentConverter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import QuantileDigest
+from repro.runtime.engine import (
+    ChunkPayload,
+    ChunkTask,
+    EngineConfig,
+    PoolClosed,
+    WorkerPool,
+)
+from repro.runtime.faults import ErrorPolicy, RecoveryBudget
 from repro.runtime.stats import EngineStats
 from repro.service.batcher import (
     Lane,
@@ -48,7 +58,6 @@ from repro.service.contracts import (
     DocumentOutcome,
 )
 from repro.service.state import TopicState, UnknownSchemaVersion
-from repro.service.workers import PoolClosed, WarmEnginePool
 
 MAX_BODY_BYTES = 32 * 1024 * 1024
 MAX_HEADERS = 100
@@ -130,9 +139,14 @@ class ConversionService:
         # One warm pool per topic: the converter (and its compiled
         # automaton) is knowledge-base-specific, so topics cannot share
         # worker processes.  The typical deployment serves one topic.
+        # The skip policy turns a document that fails to convert into a
+        # structured failure in the payload, never a dead worker.
+        conversion = conversion or ConversionConfig()
         self.pools = {
-            name: WarmEnginePool(
-                topic_kb, conversion, max_workers=workers, stats=self.stats
+            name: WorkerPool(
+                DocumentConverter(topic_kb, conversion),
+                workers,
+                policy=ErrorPolicy.skip(),
             )
             for name, topic_kb in topics.items()
         }
@@ -158,6 +172,7 @@ class ConversionService:
         # Service-wide document numbering (the engine's docNNNN ids);
         # only touched from the event loop, so a plain counter is safe.
         self._doc_cursor = 0
+        self._chunk_indices = itertools.count()
         self._active_requests = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -271,14 +286,30 @@ class ConversionService:
         base = self._doc_cursor
         self._doc_cursor += len(batch)
         pool = self.pools[topic]
+        task = ChunkTask(next(self._chunk_indices), base, sources)
+        generation = pool.generation
         try:
-            payload = await self._convert_with_retry(pool, sources, base)
+            try:
+                payload = await asyncio.wrap_future(pool.submit(task))
+            except BrokenProcessPool:
+                # A worker died (OOM kill, segfault, a killer document) and
+                # took every batch in flight with it.  The first batch to
+                # see the break rebuilds the shared pool; each one is then
+                # salvaged off the loop on its own budget, so a daemon
+                # never runs out of rebuilds.
+                budget = RecoveryBudget(EngineConfig().max_pool_rebuilds)
+                pool.rebuild(generation, budget)
+                payload = await asyncio.get_running_loop().run_in_executor(
+                    None, pool.salvage, task, budget
+                )
+                self.stats.record_pool_rebuild(budget.spent)
         except Exception as exc:
             for offset, pending in enumerate(batch):
                 pending.future.set_result(
                     self._engine_failure(pending, base + offset, exc)
                 )
             return
+        self._absorb(payload)
         outcomes = self._split_payload(payload, base, batch)
         if fold:
             state = self.topics[topic]
@@ -295,16 +326,15 @@ class ConversionService:
             if not pending.future.done():
                 pending.future.set_result(outcome)
 
-    async def _convert_with_retry(
-        self, pool: WarmEnginePool, sources: list[str], base: int
-    ):
-        try:
-            return await pool.convert_chunk(sources, base)
-        except BrokenProcessPool:
-            # One worker died mid-chunk (OOM kill, segfault): rebuild the
-            # warm pool once and retry; a second break is a real failure.
-            pool.rebuild()
-            return await pool.convert_chunk(sources, base)
+    def _absorb(self, payload: ChunkPayload) -> None:
+        self.stats.absorb(payload.stats)
+        # The engine keeps every ChunkStats for post-run reporting; a
+        # daemon absorbing chunks forever must not.  The registry has
+        # already folded the counters in, so drop the per-chunk detail
+        # and cap the retained failure records.
+        self.stats.per_chunk.clear()
+        self.stats.failures.extend(payload.failures)
+        del self.stats.failures[:-100]
 
     def _split_payload(
         self, payload, base: int, batch: list[PendingDocument]

@@ -454,6 +454,19 @@ class TestWorkerCrashRecovery:
         assert sorted(f.index for f in result.failures) == sorted(killers)
         assert all(f.stage == "worker" for f in result.failures)
 
+    def test_chunks_submitted_after_the_break_are_recovered(
+        self, kb, converter, corpus_html
+    ):
+        """One-document chunks outnumber the pending window, so chunks
+        are still being submitted after the killer broke the pool."""
+        corpus = tainted(corpus_html, {1}, KILL)
+        engine = chaos_engine(kb, 2, chunk_size=1, kill_marker=KILL)
+        result = engine.convert_corpus(corpus)
+        assert result.xml_documents == serial_xml(
+            converter, survivors_of(corpus_html, {1})
+        )
+        assert [(f.index, f.stage) for f in result.failures] == [(1, "worker")]
+
     def test_fail_fast_surfaces_broken_pool(self, kb, killed):
         engine = chaos_engine(kb, 2, policy="fail_fast", kill_marker=KILL)
         with pytest.raises(BrokenProcessPool):

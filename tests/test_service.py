@@ -355,6 +355,165 @@ class TestDocumentFailures:
             server.stop()
 
 
+# -- worker crashes stay per-document ------------------------------------------
+
+
+KILL = "__SERVICE_KILL__"
+
+
+def killer(n=0):
+    return f"<html><body><p>{KILL} {n}</p></body></html>"
+
+
+@pytest.fixture(scope="module")
+def innocent_html():
+    """Forty distinct healthy resumes."""
+    from repro.corpus.generator import ResumeCorpusGenerator
+
+    return ResumeCorpusGenerator(seed=4242).generate_html(40)
+
+
+@pytest.fixture(scope="module")
+def innocent_xml(converter, innocent_html):
+    return {html: converter.convert(html).to_xml() for html in innocent_html}
+
+
+def kill_server(kb, tmp_path, **config):
+    from repro.convert.config import ConversionConfig
+
+    return ServerThread(ConversionService(
+        kb,
+        state_dir=tmp_path / "state",
+        config=ServiceConfig(max_workers=2, **config),
+        conversion=ConversionConfig(chaos_kill_marker=KILL),
+    ))
+
+
+def post_concurrently(host, port, sources):
+    async def fire():
+        return await asyncio.gather(*(
+            request(host, port, _post("/convert", {"source": source}))
+            for source in sources
+        ))
+
+    return [
+        (status, json.loads(body)) for status, _, body in asyncio.run(fire())
+    ]
+
+
+def assert_only_killers_fail(sources, responses, innocent_xml):
+    for source, (status, payload) in zip(sources, responses):
+        if KILL in source:
+            assert status == 422, payload
+            assert payload["error"]["stage"] == "worker", payload
+            assert payload["error"]["error_type"] == "WorkerCrash"
+        else:
+            assert status == 200, payload
+            assert payload["xml"] == innocent_xml[source]
+
+
+def _converter_identity(_):
+    """Pool probe: this worker's pid, the id of the converter it uses,
+    and whether it adopted the prefork converter instead of building
+    its own."""
+    from repro.runtime import engine
+
+    time.sleep(0.05)
+    return (
+        os.getpid(),
+        id(engine._WORKER_CONVERTER),
+        engine._WORKER_CONVERTER is engine._PREFORK_CONVERTER,
+    )
+
+
+class TestWorkerKill:
+    """A document that kills its worker process fails only itself."""
+
+    @pytest.mark.parametrize("run", range(3))
+    def test_killer_among_forty_fails_only_itself(
+        self, kb, tmp_path, innocent_html, innocent_xml, run
+    ):
+        sources = innocent_html[:20] + [killer()] + innocent_html[20:]
+        server = kill_server(kb, tmp_path)
+        host, port = server.start()
+        try:
+            responses = post_concurrently(host, port, sources)
+        finally:
+            server.stop()
+        assert_only_killers_fail(sources, responses, innocent_xml)
+
+    def test_killers_in_two_batches_are_both_isolated(
+        self, kb, tmp_path, innocent_html, innocent_xml
+    ):
+        sources = (
+            innocent_html[:4] + [killer(1)] + innocent_html[4:30]
+            + [killer(2)] + innocent_html[30:]
+        )
+        server = kill_server(kb, tmp_path, max_batch=4)
+        host, port = server.start()
+        try:
+            responses = post_concurrently(host, port, sources)
+            _, _, body = fetch(host, port, _get("/healthz"))
+        finally:
+            server.stop()
+        assert_only_killers_fail(sources, responses, innocent_xml)
+        assert json.loads(body)["documents_failed"] == 2
+
+    def test_more_killers_than_rebuild_budget(
+        self, kb, tmp_path, innocent_html, innocent_xml
+    ):
+        attempts = EngineConfig().max_pool_rebuilds + 1
+        server = kill_server(kb, tmp_path)
+        host, port = server.start()
+        try:
+            for n in range(attempts):
+                status, payload = post_json(
+                    host, port, "/convert", {"source": killer(n)}
+                )
+                assert status == 422, payload
+                assert payload["error"]["stage"] == "worker", payload
+            status, payload = post_json(
+                host, port, "/convert", {"source": innocent_html[0]}
+            )
+        finally:
+            server.stop()
+        assert status == 200
+        assert payload["xml"] == innocent_xml[innocent_html[0]]
+
+    def test_every_topic_worker_adopts_its_own_converter(self, tmp_path):
+        from repro.concepts.resume_kb import build_resume_knowledge_base
+
+        service = ConversionService(
+            state_dir=tmp_path / "state",
+            topics={
+                "a": build_resume_knowledge_base(),
+                "b": build_resume_knowledge_base(),
+            },
+            config=ServiceConfig(max_workers=2),
+        )
+        server = ServerThread(service)
+        server.start()
+        try:
+            for pool in service.pools.values():
+                pids = set(pool.worker_pids())
+                assert len(pids) == 2
+                seen = {}
+                for _ in range(20):
+                    for pid, converter_id, adopted in pool._executor.map(
+                        _converter_identity, range(4)
+                    ):
+                        seen[pid] = (converter_id, adopted)
+                    if set(seen) >= pids:
+                        break
+                assert set(seen) == pids
+                assert all(
+                    converter_id == id(pool.converter) and adopted
+                    for converter_id, adopted in seen.values()
+                ), seen
+        finally:
+            server.stop()
+
+
 # -- concurrency + backpressure ------------------------------------------------
 
 
