@@ -28,5 +28,6 @@ def normalized_words(text: str) -> list[str]:
 
 
 def squeeze_whitespace(text: str) -> str:
-    """Collapse whitespace runs to single spaces and trim."""
-    return re.sub(r"\s+", " ", text).strip()
+    r"""Collapse whitespace runs to single spaces and trim (``str.split``
+    splits on exactly the characters ``\s`` matches)."""
+    return " ".join(text.split())

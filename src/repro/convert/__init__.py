@@ -3,14 +3,17 @@
 The four restructuring rules, applied in order by
 :class:`repro.convert.pipeline.DocumentConverter`:
 
-1. :mod:`repro.convert.tokenize_rule` -- text nodes to ``<TOKEN>`` nodes
-   at punctuation delimiters (text rule 1).
+1. :mod:`repro.convert.tokenize_rule` -- text nodes to tokens at
+   punctuation delimiters, planned per parent (text rule 1).
 2. :mod:`repro.convert.instance_rule` -- tokens to concept elements, with
    unidentified text pushed to the parent's ``val`` (text rule 2).
 3. :mod:`repro.convert.grouping_rule` -- siblings between repeated group
    tags sink under ``GROUP`` nodes (structure rule 1).
 4. :mod:`repro.convert.consolidation_rule` -- bottom-up elimination of all
    remaining HTML/temporary markup (structure rule 2).
+
+Each rule is one sweep rebuilding each parent's child list at most once
+(DESIGN.md section 4k says why each keeps the paper's order).
 """
 
 from repro.convert.config import ConversionConfig

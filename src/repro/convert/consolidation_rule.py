@@ -14,20 +14,17 @@ related objects describes the concept of this group":
 
 Accumulated ``val`` text on an eliminated node is never dropped: it moves
 to the node's replacement (first concept child) or to its parent.
+
+The rule is one bottom-up sweep in which each element eliminates its
+non-concept element children in order, rebuilding its child list once
+(DESIGN.md section 4k says why this equals the per-node postorder).
 """
 
 from __future__ import annotations
 
 from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.config import ConversionConfig
-from repro.convert.grouping_rule import GROUP_TAG
 from repro.dom.node import Element, Node
-from repro.dom.treeops import iter_postorder
-
-
-def is_concept_node(node: Node, concept_tags: frozenset[str] | set[str]) -> bool:
-    """True when ``node`` is an element already related to a concept."""
-    return isinstance(node, Element) and node.tag in concept_tags
 
 
 def apply_consolidation_rule(
@@ -42,83 +39,67 @@ def apply_consolidation_rule(
     """
     config = config or ConversionConfig()
     concept_tags = {concept.tag for concept in kb}
+    # Every element with children, after all of its descendants (reversed
+    # preorder); a leaf has nothing to eliminate below it.
+    order: list[Element] = []
+    stack: list[Element] = [root]
+    while stack:
+        element = stack.pop()
+        order.append(element)
+        stack.extend(c for c in element.children if isinstance(c, Element) and c.children)
     eliminated = 0
-    for node in list(iter_postorder(root)):
-        if node is root or not isinstance(node, Element) or node.parent is None:
-            continue
-        if node.tag in concept_tags:
-            continue
-        _eliminate(node, concept_tags, config)
-        eliminated += 1
+    for element in reversed(order):
+        rebuilt: list[Node] = []
+        for child in element.children:
+            if isinstance(child, Element) and child.tag not in concept_tags:
+                _eliminate(child, element, rebuilt, concept_tags, config)
+                eliminated += 1
+            else:
+                rebuilt.append(child)
+        element.children = rebuilt
     return eliminated
 
 
-def _children_push_up(node: Element, config: ConversionConfig) -> bool:
-    """Whether ``node``'s children stay siblings when ``node`` goes away."""
+def _children_push_up(node: Element, children: list[Node], config: ConversionConfig) -> bool:
+    """Whether ``node``'s ``children`` stay siblings when ``node`` goes
+    away: a list tag, or >= 2 children all elements of one name."""
     if node.tag.lower() in config.list_tags:
         return True
-    element_children = node.element_children()
-    if len(element_children) >= 2 and len(element_children) == len(node.children):
-        first_tag = element_children[0].tag
-        return all(child.tag == first_tag for child in element_children)
+    if len(children) >= 2 and isinstance(children[0], Element):
+        first_tag = children[0].tag
+        return all(isinstance(c, Element) and c.tag == first_tag for c in children)
     return False
 
 
 def _eliminate(
     node: Element,
+    parent: Element,
+    out: list[Node],
     concept_tags: set[str],
     config: ConversionConfig,
 ) -> None:
-    parent = node.parent
-    assert parent is not None
-
-    if not node.children:
-        # Childless markup carries no structure; its text (if any) must
-        # survive on the parent.
-        parent.append_val(node.get_val())
-        node.detach()
-        return
-
-    children = list(node.children)
-    if _children_push_up(node, config):
-        parent.append_val(node.get_val())
-        node.replace_with(*children)
-        return
-
-    first_concept = next(
-        (child for child in children if is_concept_node(child, concept_tags)),
-        None,
-    )
+    """Eliminate ``node``, a child of ``parent``; what replaces it goes
+    to ``out``, the parent's rebuilt child list."""
+    # Every child gets a new parent below; the node itself is dropped.
+    children, node.children = node.children, []
+    first_concept: Element | None = None
+    if children and not _children_push_up(node, children, config):
+        for child in children:
+            if isinstance(child, Element) and child.tag in concept_tags:
+                first_concept = child
+                break
     if first_concept is None:
-        # No concept child to take over: preserve the siblings.
+        # Childless markup carries no structure, and without a concept
+        # child to take over the siblings are preserved; either way the
+        # node's text (if any) must survive on the parent.
         parent.append_val(node.get_val())
-        node.replace_with(*children)
+        for child in children:
+            child.parent = parent
+        out.extend(children)
         return
-
     # The first concept child replaces the node; its former siblings
     # become its children (Figure 1).
-    assert isinstance(first_concept, Element)
     first_concept.append_val(node.get_val())
-    rest = [child for child in children if child is not first_concept]
-    node.replace_with(first_concept)
-    for sibling in rest:
-        first_concept.append_child(sibling)
-
-
-def residual_markup_tags(root: Element, kb: KnowledgeBase) -> set[str]:
-    """Tags below ``root`` that are neither concepts nor ``GROUP``.
-
-    Diagnostic helper: after consolidation this must be empty for every
-    node except the root.
-    """
-    concept_tags = {concept.tag for concept in kb}
-    residual: set[str] = set()
-    for node in iter_postorder(root):
-        if (
-            isinstance(node, Element)
-            and node is not root
-            and node.tag not in concept_tags
-            and node.tag != GROUP_TAG
-        ):
-            residual.add(node.tag)
-    return residual
+    first_concept.parent = parent
+    out.append(first_concept)
+    first_concept.adopt_all(c for c in children if c is not first_concept)

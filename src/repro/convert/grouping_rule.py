@@ -11,6 +11,9 @@ siblings of nodes marked with h1 has a higher priority than grouping
 right siblings of nodes marked with p at the same level"); because each
 group sinks below its leader, lower-priority tags are handled when the
 rule reaches the next level down -- the rule operates top-down.
+
+The rule is one walk that partitions each element's children into
+leader buckets in one pass (DESIGN.md section 4k).
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ def apply_grouping_rule(root: Element, config: ConversionConfig | None = None) -
     """
     config = config or ConversionConfig()
     created = 0
-    queue: list[Element] = [root]
-    while queue:
-        element = queue.pop(0)
-        created += _group_children(element, config)
-        queue.extend(element.element_children())
+    stack: list[Element] = [root]
+    while stack:
+        element = stack.pop()
+        tag = _leader_tag(element, config)
+        if tag is not None:
+            created += _group_children(element, tag)
+        stack.extend(c for c in element.children if isinstance(c, Element) and c.children)
     return created
 
 
@@ -46,49 +51,41 @@ def _leader_tag(element: Element, config: ConversionConfig) -> str | None:
     drives grouping -- this keeps e.g. a lone ``<p>`` from swallowing the
     rest of the document.
     """
+    if len(element.children) < config.min_group_leaders:
+        return None
+    weights = config.group_tag_weights
     counts: dict[str, int] = {}
-    for child in element.element_children():
-        if child.tag in config.group_tag_weights:
+    for child in element.children:
+        if isinstance(child, Element) and child.tag in weights:
             counts[child.tag] = counts.get(child.tag, 0) + 1
     candidates = [
         tag for tag, count in counts.items() if count >= config.min_group_leaders
     ]
     if not candidates:
         return None
-    return max(candidates, key=lambda tag: config.group_tag_weights[tag])
+    return max(candidates, key=lambda tag: weights[tag])
 
 
-def _group_children(element: Element, config: ConversionConfig) -> int:
-    tag = _leader_tag(element, config)
-    if tag is None:
-        return 0
+def _group_children(element: Element, tag: str) -> int:
+    """Sink the siblings after each ``tag`` leader (up to the next
+    leader) into a ``GROUP`` appended to that leader; siblings left of
+    the first leader stay where they are."""
+    kept: list[Node] = []
+    buckets: list[tuple[Element, list[Node]]] = []
+    for child in element.children:
+        if isinstance(child, Element) and child.tag == tag:
+            buckets.append((child, []))
+            kept.append(child)
+        elif buckets:
+            buckets[-1][1].append(child)
+        else:
+            kept.append(child)
+    element.children = kept
     created = 0
-    children = list(element.children)
-    leaders = [
-        child for child in children if isinstance(child, Element) and child.tag == tag
-    ]
-    # Partition the siblings after each leader (up to the next leader).
-    leader_ids = {id(leader) for leader in leaders}
-    current_leader: Element | None = None
-    buckets: dict[int, list[Node]] = {id(leader): [] for leader in leaders}
-    for child in children:
-        if id(child) in leader_ids:
-            current_leader = child  # type: ignore[assignment]
-        elif current_leader is not None:
-            buckets[id(current_leader)].append(child)
-        # Siblings left of the first leader stay where they are.
-    for leader in leaders:
-        members = buckets[id(leader)]
-        if not members:
-            continue
-        group = Element(GROUP_TAG)
-        for member in members:
-            group.append_child(member)
-        leader.append_child(group)
-        created += 1
+    for leader, members in buckets:
+        if members:
+            group = Element(GROUP_TAG)
+            group.adopt_all(members)
+            leader.adopt_new(group)
+            created += 1
     return created
-
-
-def is_group(node: Node) -> bool:
-    """True for temporary ``GROUP`` nodes."""
-    return isinstance(node, Element) and node.tag == GROUP_TAG

@@ -1,6 +1,6 @@
 """The concept instance rule (Section 2.3.1, text rule 2).
 
-For each ``<TOKEN>`` produced by the tokenization rule:
+For each token produced by the tokenization rule:
 
 * **Case 1** -- an instance is identified: the token is replaced by
   ``<C val="text"/>`` where ``C`` is the concept's element name.  When
@@ -14,11 +14,16 @@ For each ``<TOKEN>`` produced by the tokenization rule:
   its text is passed to the parent's ``val`` ("child nodes detail
   information represented by parent nodes at a lower level of
   abstraction"; no text is ever lost).
+
+The rule is one document-order sweep over the tokenization rule's
+:class:`~repro.convert.tokenize_rule.TokenPlan` that rebuilds each
+parent's child list once (DESIGN.md section 4k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.concepts.bayes import MultinomialNaiveBayes
 from repro.concepts.fastmatch import CachedBayes, FastSynonymMatcher
@@ -30,9 +35,8 @@ from repro.concepts.matcher import InstanceMatch, SynonymMatcher
 Matcher = SynonymMatcher | FastSynonymMatcher
 Classifier = MultinomialNaiveBayes | CachedBayes
 from repro.convert.config import ConversionConfig
-from repro.convert.tokenize_rule import TOKEN_TAG, token_text
-from repro.dom.node import Element
-from repro.dom.treeops import iter_preorder
+from repro.convert.tokenize_rule import TOKEN_TAG, TokenPlan
+from repro.dom.node import Element, Node
 from repro.obs.provenance import ProvenanceLog, node_label_path
 
 # Bayes margin is +inf when only one class is trained; clamp so the
@@ -69,7 +73,7 @@ class InstanceRuleStats:
 
 
 def apply_instance_rule(
-    root: Element,
+    plan: TokenPlan,
     kb: KnowledgeBase,
     config: ConversionConfig | None = None,
     *,
@@ -78,7 +82,7 @@ def apply_instance_rule(
     doc_id: str | None = None,
     provenance: ProvenanceLog | None = None,
 ) -> InstanceRuleStats:
-    """Resolve every ``<TOKEN>`` under ``root`` into concept elements.
+    """Resolve every token of ``plan`` into concept elements.
 
     ``matcher`` defaults to a fresh matcher over ``kb`` -- the
     :class:`FastSynonymMatcher` automaton when ``config.fast_tagger`` is
@@ -97,9 +101,31 @@ def apply_instance_rule(
         else:
             matcher = SynonymMatcher(kb)
     stats = InstanceRuleStats()
-    for node in list(iter_preorder(root)):
-        if isinstance(node, Element) and node.tag == TOKEN_TAG and node.parent is not None:
-            _resolve_token(node, kb, config, matcher, bayes, stats, doc_id, provenance)
+    resolver = _Resolver(kb, config, matcher, bayes, stats, doc_id, provenance)
+    planned, root, tracked = plan.children, plan.root, provenance is not None
+    # Frames: (element, its remaining planned children, its rebuilt child
+    # list, its label path).  A parent's later tokens wait while the sweep
+    # descends, so tokens resolve in document order.  The rebuilt list
+    # holds only elements, so its length is the next child's index.
+    root_path = node_label_path(root) if tracked else ""
+    stack: list[tuple[Element, Iterator[Node | str], list[Node], str]] = [
+        (root, iter(planned.get(root, root.children)), [], root_path)
+    ]
+    while stack:
+        element, items, rebuilt, path = stack[-1]
+        for item in items:
+            if isinstance(item, str):
+                token_path = f"{path}/{TOKEN_TAG}[{len(rebuilt)}]" if tracked else ""
+                resolver.resolve(item, element, rebuilt, token_path)
+                continue
+            rebuilt.append(item)
+            if isinstance(item, Element) and item.children:
+                child_path = f"{path}/{item.tag}[{len(rebuilt) - 1}]" if tracked else ""
+                stack.append((item, iter(planned.get(item, item.children)), [], child_path))
+                break
+        else:
+            stack.pop()
+            element.children = rebuilt
     return stats
 
 
@@ -108,82 +134,121 @@ def _match_confidence(matched: str, text: str) -> float:
     return len(matched) / len(text) if text else 0.0
 
 
-def _resolve_token(
-    token: Element,
-    kb: KnowledgeBase,
-    config: ConversionConfig,
-    matcher: Matcher,
-    bayes: Classifier | None,
-    stats: InstanceRuleStats,
-    doc_id: str | None = None,
-    provenance: ProvenanceLog | None = None,
-) -> None:
-    parent = token.parent
-    assert parent is not None
-    text = token_text(token)
-    # The label path must be taken while the token is still in the tree.
-    node_path = node_label_path(token) if provenance is not None else ""
-    if len(text) < config.min_token_length:
-        parent.append_val(text)
-        token.detach()
-        if provenance is not None:
-            provenance.concept_event(
-                doc_id, node_path, "unlabeled", text=text, reason="short"
-            )
-        return
+@dataclass
+class _Resolver:
+    """One document's token decisions: concept elements go to the
+    parent's rebuilt child list, unidentified text to the parent's
+    ``val``."""
 
-    matches: list[InstanceMatch] = []
-    if config.tagger in ("synonym", "hybrid"):
-        matches = matcher.find_all(text)
-    if not matches and config.tagger in ("bayes", "hybrid") and bayes is not None:
-        label, margin = bayes.predict(text)
-        if label is not None:
-            _emit_single(token, label, text, stats)
-            if provenance is not None:
-                provenance.concept_event(
-                    doc_id,
-                    node_path,
-                    "bayes",
-                    concept=label,
-                    confidence=min(margin, _MAX_CONFIDENCE),
-                    text=text,
-                )
+    kb: KnowledgeBase
+    config: ConversionConfig
+    matcher: Matcher
+    bayes: Classifier | None
+    stats: InstanceRuleStats
+    doc_id: str | None
+    provenance: ProvenanceLog | None
+
+    def record(self, path: str, decision: str, **fields: object) -> None:
+        """One provenance ``concept`` event; callers that compute a
+        confidence skip the call when provenance is off."""
+        if self.provenance is not None:
+            self.provenance.concept_event(self.doc_id, path, decision, **fields)
+
+    def emit(self, parent: Element, out: list[Node], tag: str, val: str) -> None:
+        element = Element(tag)
+        element.set_val(val)
+        element.parent = parent
+        out.append(element)
+        self.stats.elements_created += 1
+        self.stats._count(tag)
+
+    def resolve(self, text: str, parent: Element, out: list[Node], path: str) -> None:
+        config, stats = self.config, self.stats
+        if len(text) < config.min_token_length:
+            parent.append_val(text)
+            self.record(path, "unlabeled", text=text, reason="short")
             return
 
-    if not matches:
-        # Case 2: unidentified -- text passes to the parent.
-        parent.append_val(text)
-        token.detach()
-        stats.unidentified += 1
-        if provenance is not None:
-            provenance.concept_event(doc_id, node_path, "unlabeled", text=text)
-        return
+        matches: list[InstanceMatch] = []
+        if config.tagger in ("synonym", "hybrid"):
+            matches = self.matcher.find_all(text)
+        if not matches and config.tagger in ("bayes", "hybrid") and self.bayes is not None:
+            label, margin = self.bayes.predict(text)
+            if label is not None:
+                self.emit(parent, out, label, text)
+                stats.identified += 1
+                if self.provenance is not None:
+                    confidence = min(margin, _MAX_CONFIDENCE)
+                    self.record(path, "bayes", concept=label, confidence=confidence, text=text)
+                return
 
-    if len(matches) == 1 or not config.split_multi_instance_tokens:
-        best = max(matches, key=lambda m: (m.specificity, -m.start))
-        _emit_single(token, best.concept_tag, text, stats)
-        if provenance is not None:
-            provenance.concept_event(
-                doc_id,
-                node_path,
+        if not matches:
+            # Case 2: unidentified -- text passes to the parent.
+            parent.append_val(text)
+            stats.unidentified += 1
+            self.record(path, "unlabeled", text=text)
+            return
+
+        if len(matches) > 1 and config.split_multi_instance_tokens:
+            matches = self.decompose(matches, text)
+            if len(matches) > 1:
+                # Text before the first identified instance goes to the parent.
+                parent.append_val(text[: matches[0].start].strip())
+                for i, match in enumerate(matches):
+                    end = matches[i + 1].start if i + 1 < len(matches) else len(text)
+                    segment = text[match.start : end].strip()
+                    self.emit(parent, out, match.concept_tag, segment)
+                    if self.provenance is not None:
+                        self.record(
+                            path,
+                            "synonym",
+                            concept=match.concept_tag,
+                            confidence=_match_confidence(match.matched_text, text),
+                            text=segment,
+                            matched=match.matched_text,
+                            split=True,
+                        )
+                stats.identified += 1
+                stats.split_tokens += 1
+                return
+        best = matches[0]
+        if len(matches) > 1:
+            best = max(matches, key=lambda m: (m.specificity, -m.start))
+        self.emit(parent, out, best.concept_tag, text)
+        stats.identified += 1
+        if self.provenance is not None:
+            self.record(
+                path,
                 "synonym",
                 concept=best.concept_tag,
                 confidence=_match_confidence(best.matched_text, text),
                 text=text,
                 matched=best.matched_text,
             )
-        return
 
-    _emit_split(token, matches, text, kb, config, stats, doc_id, node_path, provenance)
+    def decompose(self, matches: list[InstanceMatch], text: str) -> list[InstanceMatch]:
+        """Case 1 with several instances: the instances the token splits into.
 
-
-def _emit_single(token: Element, tag: str, text: str, stats: InstanceRuleStats) -> None:
-    element = Element(tag)
-    element.set_val(text)
-    token.replace_with(element)
-    stats.identified += 1
-    stats.elements_created += 1
-    stats._count(tag)
+        Consecutive matches whose concepts may not be siblings (per the
+        constraint set) are reduced by dropping the less specific match, so
+        its text stays attached to the surviving neighbour -- this is the
+        "concept constraints describing typical sibling relationships can be
+        employed in order to determine a proper decomposition" refinement.
+        """
+        kept: list[InstanceMatch] = []
+        for match in _merge_connected(matches, text, self.config):
+            if (
+                self.config.use_sibling_constraints
+                and kept
+                and not self.kb.constraints.allows_sibling_pair(
+                    kept[-1].concept_tag, match.concept_tag
+                )
+            ):
+                if match.specificity > kept[-1].specificity:
+                    kept[-1] = match
+                continue
+            kept.append(match)
+        return kept
 
 
 def _merge_connected(
@@ -215,83 +280,3 @@ def _merge_connected(
         else:
             merged.append(match)
     return merged
-
-
-def _emit_split(
-    token: Element,
-    matches: list[InstanceMatch],
-    text: str,
-    kb: KnowledgeBase,
-    config: ConversionConfig,
-    stats: InstanceRuleStats,
-    doc_id: str | None = None,
-    node_path: str = "",
-    provenance: ProvenanceLog | None = None,
-) -> None:
-    """Case 1 with several instances: decompose the token.
-
-    Consecutive matches whose concepts may not be siblings (per the
-    constraint set) are reduced by dropping the less specific match, so
-    its text stays attached to the surviving neighbour -- this is the
-    "concept constraints describing typical sibling relationships can be
-    employed in order to determine a proper decomposition" refinement.
-    """
-    parent = token.parent
-    assert parent is not None
-    matches = _merge_connected(matches, text, config)
-    kept: list[InstanceMatch] = []
-    for match in matches:
-        if (
-            config.use_sibling_constraints
-            and kept
-            and not kb.constraints.allows_sibling_pair(
-                kept[-1].concept_tag, match.concept_tag
-            )
-        ):
-            if match.specificity > kept[-1].specificity:
-                kept[-1] = match
-            continue
-        kept.append(match)
-
-    if len(kept) == 1:
-        _emit_single(token, kept[0].concept_tag, text, stats)
-        if provenance is not None:
-            provenance.concept_event(
-                doc_id,
-                node_path,
-                "synonym",
-                concept=kept[0].concept_tag,
-                confidence=_match_confidence(kept[0].matched_text, text),
-                text=text,
-                matched=kept[0].matched_text,
-            )
-        return
-
-    # Text before the first identified instance goes to the parent.
-    prefix = text[: kept[0].start].strip()
-    if prefix:
-        parent.append_val(prefix)
-
-    elements: list[Element] = []
-    for i, match in enumerate(kept):
-        end = kept[i + 1].start if i + 1 < len(kept) else len(text)
-        segment = text[match.start : end].strip()
-        element = Element(match.concept_tag)
-        element.set_val(segment)
-        elements.append(element)
-        stats.elements_created += 1
-        stats._count(match.concept_tag)
-        if provenance is not None:
-            provenance.concept_event(
-                doc_id,
-                node_path,
-                "synonym",
-                concept=match.concept_tag,
-                confidence=_match_confidence(match.matched_text, text),
-                text=segment,
-                matched=match.matched_text,
-                split=True,
-            )
-    token.replace_with(*elements)
-    stats.identified += 1
-    stats.split_tokens += 1

@@ -190,14 +190,15 @@ class DocumentConverter:
                 stage = "tokenize"
                 started = time.perf_counter()
                 with tracer.span("convert.tokenize") as span:
-                    tokens = apply_tokenization_rule(work_root, self.config)
+                    plan = apply_tokenization_rule(work_root, self.config)
+                    tokens = plan.tokens
                     span.set(tokens=tokens)
                 timings["tokenize"] = time.perf_counter() - started
                 stage = "instance"
                 started = time.perf_counter()
                 with tracer.span("convert.instance") as span:
                     stats = apply_instance_rule(
-                        work_root,
+                        plan,
                         self.kb,
                         self.config,
                         matcher=self._matcher,
@@ -347,14 +348,12 @@ class DocumentConverter:
             return root
         root = Element(self._root_tag)
         root.set_val(work_root.get_val())
-        for child in list(work_root.children):
+        for child in work_root.take_children():
             if isinstance(child, Element) and child.tag == self._root_tag:
                 # Top-level RESUME nodes (document/page titles) merge into
                 # the root rather than nesting a resume inside a resume.
                 root.append_val(child.get_val())
-                child.detach()
-                for grandchild in list(child.children):
-                    root.append_child(grandchild)
+                root.adopt_all(child.take_children())
             else:
-                root.append_child(child)
+                root.adopt_new(child)
         return root

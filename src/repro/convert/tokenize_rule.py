@@ -2,18 +2,29 @@
 
 "A tokenization rule takes an HTML text node and replaces it by n >= 1
 token nodes of the pattern ``<TOKEN>text</TOKEN>``."  Topic sentences are
-split at punctuation delimiters (``;``, ``,``, ``:`` by default); the
-resulting token nodes are later consumed by the concept instance rule.
+split at punctuation delimiters (``;``, ``,``, ``:`` by default).  The
+token nodes are never built: the rule returns a :class:`TokenPlan` that
+the concept instance rule resolves in one sweep (DESIGN.md section 4k).
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass, field
+from functools import lru_cache
+
 from repro.concepts.textutil import squeeze_whitespace
 from repro.convert.config import ConversionConfig
-from repro.dom.node import Element, Text
-from repro.dom.treeops import iter_preorder
+from repro.dom.node import Element, Node, Text
 
 TOKEN_TAG = "TOKEN"
+
+
+@lru_cache(maxsize=64)
+def _delimiter_class(delimiters: tuple[str, ...]) -> re.Pattern[str] | None:
+    """One compiled character class per delimiter tuple."""
+    chars = "".join(re.escape(d) for d in delimiters if len(d) == 1)
+    return re.compile(f"[{chars}]") if chars else None
 
 
 def split_topic_sentence(text: str, delimiters: tuple[str, ...]) -> list[str]:
@@ -24,54 +35,59 @@ def split_topic_sentence(text: str, delimiters: tuple[str, ...]) -> list[str]:
     naive splitting there would shred dates and GPAs.  Empty fragments are
     dropped; whitespace is squeezed.
     """
-    delimiter_set = set(delimiters)
+    pattern = _delimiter_class(tuple(delimiters))
     pieces: list[str] = []
-    current: list[str] = []
-    for index, char in enumerate(text):
-        if char in delimiter_set:
-            prev_char = text[index - 1] if index > 0 else ""
-            next_char = text[index + 1] if index + 1 < len(text) else ""
-            if prev_char.isdigit() and next_char.isdigit():
-                current.append(char)
-                continue
-            if char == ":" and text[index + 1 : index + 3] == "//":
-                # URL scheme separator ("http://..."), not a delimiter.
-                current.append(char)
-                continue
-            pieces.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    pieces.append("".join(current))
+    start = 0
+    for match in pattern.finditer(text) if pattern is not None else ():
+        index = match.start()
+        # "Inside a number" is ``str.isdigit`` on both sides, not ``\d``.
+        if 0 < index < len(text) - 1 and text[index - 1].isdigit() and text[index + 1].isdigit():
+            continue
+        if text[index] == ":" and text.startswith("//", index + 1):
+            # URL scheme separator ("http://..."), not a delimiter.
+            continue
+        pieces.append(text[start:index])
+        start = index + 1
+    pieces.append(text[start:])
     tokens = [squeeze_whitespace(piece) for piece in pieces]
     return [token for token in tokens if token]
 
 
+@dataclass
+class TokenPlan:
+    """Each element with text children -> its child sequence with every
+    text node replaced by that node's token strings, in order."""
+
+    root: Element
+    children: dict[Element, list[Node | str]] = field(default_factory=dict)
+    tokens: int = 0
+
+
 def apply_tokenization_rule(
     root: Element, config: ConversionConfig | None = None
-) -> int:
-    """Replace every text node under ``root`` by ``<TOKEN>`` elements.
+) -> TokenPlan:
+    """Split every text node under ``root`` into token strings.
 
-    Operates top-down over the whole tree; returns the number of token
-    nodes created.  A text node yielding no tokens (pure punctuation or
-    whitespace) is simply removed.
+    The tree is left as it is; the plan's ``tokens`` counts the token
+    nodes the rule stands for.
     """
     config = config or ConversionConfig()
-    created = 0
-    for node in list(iter_preorder(root)):
-        if not isinstance(node, Text) or node.parent is None:
-            continue
-        tokens = split_topic_sentence(node.text, config.delimiters)
-        replacements = []
-        for token_text in tokens:
-            token = Element(TOKEN_TAG)
-            token.append_child(Text(token_text))
-            replacements.append(token)
-        node.replace_with(*replacements)
-        created += len(replacements)
-    return created
-
-
-def token_text(token: Element) -> str:
-    """The text carried by a ``<TOKEN>`` element."""
-    return token.inner_text()
+    plan = TokenPlan(root)
+    stack: list[Element] = [root]
+    while stack:
+        element = stack.pop()
+        children = element.children
+        items: list[Node | str] | None = None
+        for index, child in enumerate(children):
+            if isinstance(child, Text):
+                if items is None:
+                    items = plan.children[element] = children[:index]
+                tokens = split_topic_sentence(child.text, config.delimiters)
+                plan.tokens += len(tokens)
+                items.extend(tokens)
+                continue
+            if items is not None:
+                items.append(child)
+            if isinstance(child, Element) and child.children:
+                stack.append(child)
+    return plan

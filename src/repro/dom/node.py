@@ -97,14 +97,23 @@ class Node:
         return self
 
     def replace_with(self, *nodes: "Node") -> None:
-        """Replace this node in its parent by ``nodes`` (in order)."""
-        if self.parent is None:
-            raise ValueError("cannot replace a detached node")
+        """Replace this node in its parent by ``nodes`` (in order), with
+        one index lookup and one splice; ``nodes`` are detached first and
+        may include this node's own children."""
         parent = self.parent
-        idx = self.index_in_parent()
-        parent.remove_child(self)
-        for offset, node in enumerate(nodes):
-            parent.insert_child(idx + offset, node)
+        if parent is None:
+            raise ValueError("cannot replace a detached node")
+        for node in nodes:
+            # Own children leave with this node's child list below.
+            if node.parent is not self and node is not self:
+                node.detach()
+        index = self.index_in_parent()
+        self.parent = None
+        for node in nodes:
+            node.parent = parent
+        parent.children[index : index + 1] = nodes
+        if isinstance(self, Element):
+            self.children = [child for child in self.children if child.parent is self]
 
 
 class Text(Node):

@@ -61,7 +61,7 @@ def iter_elements(root: Node) -> Iterator[Element]:
 
 def tree_size(root: Node) -> int:
     """Total number of nodes in the tree."""
-    return sum(1 for _ in iter_preorder(root))
+    return len(collect_postorder(root))
 
 
 def tree_depth(root: Node) -> int:
@@ -143,6 +143,8 @@ def first_element(
 
 def count_elements(root: Node, tag: Optional[str] = None) -> int:
     """Number of elements in the tree, optionally restricted to ``tag``."""
+    # The list walk is cheaper than the generator chain of iter_elements.
+    nodes = collect_postorder(root)
     if tag is None:
-        return sum(1 for _ in iter_elements(root))
-    return sum(1 for el in iter_elements(root) if el.tag == tag)
+        return sum(1 for node in nodes if isinstance(node, Element))
+    return sum(1 for node in nodes if isinstance(node, Element) and node.tag == tag)

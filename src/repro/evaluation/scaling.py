@@ -26,6 +26,8 @@ from repro.obs.tracer import NullTracer, Tracer, resolve_tracer
 from repro.runtime.engine import CorpusEngine, EngineConfig
 from repro.runtime.stats import EngineStats
 
+RUNS_PER_POINT = 3
+
 
 @dataclass
 class ScalingPoint:
@@ -96,6 +98,8 @@ def run_scaling_experiment(
 
     Documents are generated outside the timed region; the clock covers
     exactly what the paper timed (restructuring + schema discovery).
+    Each point is the fastest of ``RUNS_PER_POINT`` runs: a single run of
+    a sub-second point is at the mercy of host noise.
     The sweep runs through :class:`repro.runtime.CorpusEngine`, so
     ``max_workers`` extends Figure 5 with parallel sweep points and each
     :class:`ScalingPoint` carries the engine's per-stage instrumentation
@@ -114,12 +118,14 @@ def run_scaling_experiment(
     for size in sizes:
         corpus = generator.generate_html(size)
         with tracer.span("scaling.point", documents=size) as point_span:
-            started = time.perf_counter()
-            result = engine.convert_corpus(corpus, tracer=tracer)
-            engine.mine(
-                result.accumulator, sup_threshold=sup_threshold, tracer=tracer
-            )
-            elapsed = time.perf_counter() - started
+            elapsed = float("inf")
+            for _ in range(RUNS_PER_POINT):
+                started = time.perf_counter()
+                result = engine.convert_corpus(corpus, tracer=tracer)
+                engine.mine(
+                    result.accumulator, sup_threshold=sup_threshold, tracer=tracer
+                )
+                elapsed = min(elapsed, time.perf_counter() - started)
             point_span.set(
                 seconds=round(elapsed, 6),
                 concept_nodes=result.stats.concept_nodes,

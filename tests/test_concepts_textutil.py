@@ -1,5 +1,11 @@
 """Tests for word-level text utilities."""
 
+import re
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.concepts.textutil import (
     normalize_word,
     normalized_words,
@@ -47,3 +53,13 @@ class TestSqueeze:
 
     def test_empty(self):
         assert squeeze_whitespace("   ") == ""
+
+    def test_every_whitespace_character_matches_the_regex_form(self):
+        for code in range(sys.maxunicode + 1):
+            char = chr(code)
+            assert char.isspace() == bool(re.match(r"\s", char)), hex(code)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000\u200bab")) | st.text())
+    def test_equals_the_regex_form(self, text):
+        assert squeeze_whitespace(text) == re.sub(r"\s+", " ", text).strip()

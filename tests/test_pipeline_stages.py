@@ -1,17 +1,29 @@
 """White-box invariants between the four restructuring rule stages.
 
 The pipeline's correctness argument rests on what each rule guarantees
-to the next; these tests pin those contracts down on a real document.
+to the next; these tests pin those contracts down on a real document,
+for the per-node rules of ``tests/oracles/rules.py`` and again for the
+one-sweep rules of :mod:`repro.convert`.
 """
 
 import pytest
 
+from repro.convert import (
+    apply_consolidation_rule as sweep_consolidate,
+    apply_grouping_rule as sweep_group,
+    apply_instance_rule as sweep_instance,
+    apply_tokenization_rule as sweep_tokenize,
+)
 from repro.convert.config import ConversionConfig
-from repro.convert.consolidation_rule import apply_consolidation_rule
-from repro.convert.grouping_rule import GROUP_TAG, apply_grouping_rule
-from repro.convert.instance_rule import apply_instance_rule
-from repro.convert.tokenize_rule import TOKEN_TAG, apply_tokenization_rule
+from repro.convert.grouping_rule import GROUP_TAG
 from repro.dom.node import Element, Text
+from tests.oracles.rules import (
+    TOKEN_TAG,
+    apply_consolidation_rule,
+    apply_grouping_rule,
+    apply_instance_rule,
+    apply_tokenization_rule,
+)
 from repro.dom.treeops import iter_elements, iter_preorder
 from repro.htmlparse.parser import body_of, parse_html
 from repro.htmlparse.tidy import tidy
@@ -128,6 +140,43 @@ class TestStageContracts:
         # Every identified element was created by the instance rule.
         assert stats.elements_created >= tagged_elements - stats.identified
 
+
+
+@pytest.fixture()
+def sweep_stages(kb):
+    """The same document through the product sweeps, stage by stage."""
+    config = ConversionConfig()
+    document = parse_html(HTML)
+    tidy(document)
+    work = body_of(document)
+
+    snapshots = {}
+    plan = sweep_tokenize(work, config)
+    snapshots["tokenized"] = _snapshot(work)
+    snapshots["planned_tokens"] = plan.tokens
+    stats = sweep_instance(plan, kb, config)
+    snapshots["tagged"] = _snapshot(work)
+    sweep_group(work, config)
+    snapshots["grouped"] = _snapshot(work)
+    sweep_consolidate(work, kb, config)
+    snapshots["consolidated"] = _snapshot(work)
+    return work, snapshots, stats
+
+
+class TestSweepStageContracts(TestStageContracts):
+    """Every contract above, held by the one-sweep rules."""
+
+    @pytest.fixture()
+    def stages(self, sweep_stages):
+        return sweep_stages
+
+    def test_after_tokenization_text_only_inside_tokens(self, stages):
+        """The sweep builds no ``<TOKEN>`` elements: its tokens live in
+        the plan, and the tree keeps its text until the instance rule."""
+        _work, snapshots, _stats = stages
+        assert TOKEN_TAG not in snapshots["tokenized"]["tags"]
+        assert snapshots["tokenized"]["text_nodes"] > 0
+        assert snapshots["planned_tokens"] > 0
 
 class TestRepositoryIndexQueries:
     def test_query_path_matches_tree_walk(self, kb, converter):
