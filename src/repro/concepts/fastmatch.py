@@ -392,8 +392,8 @@ def cache_counter_delta(
 ) -> dict[str, dict[str, int]]:
     """Per-cache counter growth between two snapshots.
 
-    All-zero caches are dropped so idle snapshots (fast tagger off, or a
-    chunk with no tokens) serialize to an empty dict.
+    All-zero caches are dropped so idle snapshots (a chunk with no
+    tokens) serialize to an empty dict.
     """
     delta: dict[str, dict[str, int]] = {}
     for cache_name, counters in after.items():

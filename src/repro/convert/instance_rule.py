@@ -84,22 +84,17 @@ def apply_instance_rule(
 ) -> InstanceRuleStats:
     """Resolve every token of ``plan`` into concept elements.
 
-    ``matcher`` defaults to a fresh matcher over ``kb`` -- the
-    :class:`FastSynonymMatcher` automaton when ``config.fast_tagger`` is
-    on, the naive :class:`SynonymMatcher` otherwise.  With
-    ``config.tagger`` in ``("bayes", "hybrid")`` a trained ``bayes``
-    classifier must be supplied.  With a ``provenance`` log every token
-    decision is recorded as a ``concept`` event keyed by ``doc_id`` and
-    the token's label path *before* the rewrite.
+    ``matcher`` defaults to a fresh :class:`FastSynonymMatcher` automaton
+    over ``kb``.  With ``config.tagger`` in ``("bayes", "hybrid")`` a
+    trained ``bayes`` classifier must be supplied.  With a ``provenance``
+    log every token decision is recorded as a ``concept`` event keyed by
+    ``doc_id`` and the token's label path *before* the rewrite.
     """
     config = config or ConversionConfig()
     if config.tagger in ("bayes", "hybrid") and (bayes is None or not bayes.is_trained()):
         raise ValueError(f"tagger {config.tagger!r} requires a trained Bayes classifier")
     if matcher is None:
-        if config.fast_tagger:
-            matcher = FastSynonymMatcher(kb, cache_size=config.tagger_cache_size)
-        else:
-            matcher = SynonymMatcher(kb)
+        matcher = FastSynonymMatcher(kb)
     stats = InstanceRuleStats()
     resolver = _Resolver(kb, config, matcher, bayes, stats, doc_id, provenance)
     planned, root, tracked = plan.children, plan.root, provenance is not None

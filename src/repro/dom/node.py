@@ -188,7 +188,7 @@ class Element(Node):
 
         The per-child alternative (``detach()`` in a loop) rescans the
         shrinking child list once per child; this is the O(n) form the
-        tidy fast path splices with.
+        cleanser splices with.
         """
         children = self.children
         self.children = []

@@ -52,7 +52,7 @@ WORKERS = "repro_engine_workers"
 CHUNK_SIZE = "repro_engine_chunk_size"
 RULE_SECONDS = "repro_rule_seconds_total"
 CHUNK_SECONDS_HISTOGRAM = "repro_engine_chunk_seconds"
-# Token-decision cache traffic from the fast tagger, labeled
+# Token-decision cache traffic from the tagger, labeled
 # {cache="synonym"|"bayes", event="hits"|"misses"|"evictions"}.
 TAGGER_CACHE_EVENTS = "repro_tagger_cache_events_total"
 
@@ -124,7 +124,7 @@ class ChunkStats:
     rule_seconds: dict[str, float] = field(default_factory=dict)
     # Token-decision cache counter growth during this chunk, per cache
     # ({"synonym": {"hits": ..., "misses": ..., "evictions": ...}});
-    # empty when the fast tagger or its memoization is off.
+    # empty when the chunk looked up no token.
     tagger_cache: dict[str, dict[str, int]] = field(default_factory=dict)
     # Per-stage latency digests ({"parse": ..., "document": ...}): one
     # observation per surviving document per stage, in a mergeable

@@ -11,7 +11,6 @@ extraction (the "index structure" of the paper is exactly the
 from __future__ import annotations
 
 from repro.schema.accumulator import PathAccumulator
-from repro.schema.majority import SchemaNode
 from repro.schema.paths import DocumentPaths, LabelPath
 
 PathSource = list[DocumentPaths] | PathAccumulator
@@ -44,21 +43,6 @@ def average_child_positions(
         label: (sums[label] / counts[label]) if counts[label] else float("inf")
         for label in child_labels
     }
-
-
-def order_children(
-    documents: PathSource, node: SchemaNode
-) -> list[SchemaNode]:
-    """The children of a schema node in DTD content-model order.
-
-    Ties on average position break alphabetically for determinism.
-    """
-    labels = list(node.children)
-    positions = average_child_positions(documents, node.path, labels)
-    return [
-        node.children[label]
-        for label in sorted(labels, key=lambda lb: (positions[lb], lb))
-    ]
 
 
 def ordered_labels(

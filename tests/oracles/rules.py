@@ -125,22 +125,17 @@ def apply_instance_rule(
 ) -> InstanceRuleStats:
     """Resolve every ``<TOKEN>`` under ``root`` into concept elements.
 
-    ``matcher`` defaults to a fresh matcher over ``kb`` -- the
-    :class:`FastSynonymMatcher` automaton when ``config.fast_tagger`` is
-    on, the naive :class:`SynonymMatcher` otherwise.  With
-    ``config.tagger`` in ``("bayes", "hybrid")`` a trained ``bayes``
-    classifier must be supplied.  With a ``provenance`` log every token
-    decision is recorded as a ``concept`` event keyed by ``doc_id`` and
-    the token's label path *before* the rewrite.
+    ``matcher`` defaults to a fresh :class:`FastSynonymMatcher` automaton
+    over ``kb``.  With ``config.tagger`` in ``("bayes", "hybrid")`` a
+    trained ``bayes`` classifier must be supplied.  With a ``provenance``
+    log every token decision is recorded as a ``concept`` event keyed by
+    ``doc_id`` and the token's label path *before* the rewrite.
     """
     config = config or ConversionConfig()
     if config.tagger in ("bayes", "hybrid") and (bayes is None or not bayes.is_trained()):
         raise ValueError(f"tagger {config.tagger!r} requires a trained Bayes classifier")
     if matcher is None:
-        if config.fast_tagger:
-            matcher = FastSynonymMatcher(kb, cache_size=config.tagger_cache_size)
-        else:
-            matcher = SynonymMatcher(kb)
+        matcher = FastSynonymMatcher(kb)
     stats = InstanceRuleStats()
     for node in list(iter_preorder(root)):
         if isinstance(node, Element) and node.tag == TOKEN_TAG and node.parent is not None:
@@ -535,10 +530,10 @@ def convert_with_oracle_rules(
     the product sweeps: same parse, tidy, content root and rooting, same
     provenance rule events (with zero seconds)."""
     config = converter.config
-    document = parse_html(html, fast=config.fast_parser)
+    document = parse_html(html)
     input_nodes = tree_size(document)
     if config.apply_tidy:
-        tidy(document, fast=config.fast_tidy)
+        tidy(document)
     work_root = converter._content_root(document)
     tokens = apply_tokenization_rule(work_root, config)
     stats = apply_instance_rule(

@@ -1,10 +1,11 @@
-"""Differential tests: fast parser on vs. off must be byte-identical.
+"""Differential tests: the parser must be byte-identical to the oracle.
 
 Same guarantee discipline as the fast-tagger, serial-vs-parallel, and
 tracing-on-vs-off harnesses: over the golden corpus (every authorship
 style plus the handwritten edge cases) and a generated corpus, the
-bulk-scanning tokenizer and the legacy per-character scanner must
-produce
+bulk-scanning tokenizer and the per-character scanner of
+``tests/oracles/htmlparse.py`` (run in the product pipeline's place
+under :func:`oracle_htmlparse`) must produce
 
 * byte-identical serialized XML, document for document, and
 * an identical rendered DTD from discovery over the accumulators,
@@ -25,6 +26,8 @@ from repro.convert.config import ConversionConfig
 from repro.convert.pipeline import DocumentConverter
 from repro.htmlparse.parser import parse_html
 from repro.runtime.engine import CorpusEngine, EngineConfig
+from tests.oracles import htmlparse as oracle
+from tests.oracles.tagger import naive_tagger
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WORKER_COUNTS = [1, 2, 4]
@@ -39,15 +42,16 @@ def golden_html():
 
 @pytest.fixture(scope="module")
 def legacy_baseline(kb, golden_html):
-    """XML + DTD via the legacy tokenizer (fast parser off), serial."""
-    converter = DocumentConverter(kb, ConversionConfig(fast_parser=False))
+    """XML + DTD via the oracle tokenizer, serial."""
+    converter = DocumentConverter(kb, ConversionConfig())
     engine = CorpusEngine(
         kb,
-        ConversionConfig(fast_parser=False),
+        ConversionConfig(),
         engine_config=EngineConfig(max_workers=1, chunk_size=3),
     )
-    xml = [converter.convert(html).to_xml() for html in golden_html]
-    corpus = engine.convert_corpus(golden_html)
+    with oracle.oracle_htmlparse(cleanser=False):
+        xml = [converter.convert(html).to_xml() for html in golden_html]
+        corpus = engine.convert_corpus(golden_html)
     assert corpus.xml_documents == xml
     dtd = engine.discover(corpus.accumulator).dtd.render()
     return xml, dtd
@@ -56,7 +60,7 @@ def legacy_baseline(kb, golden_html):
 def fast_engine(kb, workers: int) -> CorpusEngine:
     return CorpusEngine(
         kb,
-        ConversionConfig(fast_parser=True),
+        ConversionConfig(),
         engine_config=EngineConfig(max_workers=workers, chunk_size=3),
     )
 
@@ -72,7 +76,7 @@ class TestGoldenCorpusDifferential:
 
     def test_serial_converter_identical(self, kb, golden_html, legacy_baseline):
         legacy_xml, _ = legacy_baseline
-        fast = DocumentConverter(kb, ConversionConfig(fast_parser=True))
+        fast = DocumentConverter(kb, ConversionConfig())
         assert [fast.convert(html).to_xml() for html in golden_html] == legacy_xml
 
 
@@ -82,10 +86,11 @@ class TestGeneratedCorpusDifferential:
         html = [doc.html for doc in small_corpus]
         legacy = CorpusEngine(
             kb,
-            ConversionConfig(fast_parser=False),
+            ConversionConfig(),
             engine_config=EngineConfig(max_workers=1, chunk_size=4),
         )
-        legacy_corpus = legacy.convert_corpus(html)
+        with oracle.oracle_htmlparse(cleanser=False):
+            legacy_corpus = legacy.convert_corpus(html)
         fast = fast_engine(kb, workers)
         fast_corpus = fast.convert_corpus(html)
         assert fast_corpus.xml_documents == legacy_corpus.xml_documents
@@ -97,13 +102,12 @@ class TestGeneratedCorpusDifferential:
 
 class TestBothFastPathsOff:
     def test_fully_naive_pipeline_identical(self, kb, golden_html, legacy_baseline):
-        """Turning every fast path off at once is still byte-identical
-        (no hidden coupling between the parser and tagger flags)."""
+        """The oracle tokenizer and the naive tagger at once are still
+        byte-identical (no hidden coupling between parser and tagger)."""
         legacy_xml, _ = legacy_baseline
-        naive = DocumentConverter(
-            kb, ConversionConfig(fast_parser=False, fast_tagger=False)
-        )
-        assert [naive.convert(html).to_xml() for html in golden_html] == legacy_xml
+        naive = naive_tagger(DocumentConverter(kb, ConversionConfig()))
+        with oracle.oracle_htmlparse(cleanser=False):
+            assert [naive.convert(html).to_xml() for html in golden_html] == legacy_xml
 
 
 class TestParseTreeEquivalence:
@@ -120,6 +124,4 @@ class TestParseTreeEquivalence:
             return ("#text", node.text)
 
         for html in golden_html:
-            assert shape(parse_html(html, fast=True)) == shape(
-                parse_html(html, fast=False)
-            )
+            assert shape(parse_html(html)) == shape(oracle.parse_html(html))

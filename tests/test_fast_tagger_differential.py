@@ -1,9 +1,11 @@
-"""Differential tests: fast tagger on vs. off must be byte-identical.
+"""Differential tests: the tagger must be byte-identical to the naive one.
 
 Same guarantee discipline as the serial-vs-parallel and
 tracing-on-vs-off harnesses: over the golden corpus (every authorship
 style plus the handwritten edge cases) and a generated corpus, the
-Aho-Corasick fast path and the naive per-pattern matcher must produce
+product engine (Aho-Corasick matcher, cached classifier) must produce
+what the naive per-pattern matcher of ``tests/oracles/tagger.py``
+produces serially:
 
 * byte-identical serialized XML, document for document, and
 * an identical rendered DTD from discovery over the accumulators,
@@ -22,6 +24,7 @@ from repro.convert.config import ConversionConfig
 from repro.convert.pipeline import DocumentConverter
 from repro.runtime.engine import CorpusEngine, EngineConfig
 from repro.runtime.stats import TAGGER_CACHE_EVENTS
+from tests.oracles.tagger import naive_tagger, serial_baseline
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WORKER_COUNTS = [1, 2, 4]
@@ -36,24 +39,14 @@ def golden_html():
 
 @pytest.fixture(scope="module")
 def naive_baseline(kb, golden_html):
-    """XML + DTD via the naive matcher (fast path off), serial."""
-    converter = DocumentConverter(kb, ConversionConfig(fast_tagger=False))
-    engine = CorpusEngine(
-        kb,
-        ConversionConfig(fast_tagger=False),
-        engine_config=EngineConfig(max_workers=1, chunk_size=3),
-    )
-    xml = [converter.convert(html).to_xml() for html in golden_html]
-    corpus = engine.convert_corpus(golden_html)
-    assert corpus.xml_documents == xml
-    dtd = engine.discover(corpus.accumulator).dtd.render()
-    return xml, dtd
+    """XML + DTD via the naive matcher, serial."""
+    return serial_baseline(naive_tagger(DocumentConverter(kb)), golden_html)
 
 
 def fast_engine(kb, workers: int) -> CorpusEngine:
     return CorpusEngine(
         kb,
-        ConversionConfig(fast_tagger=True),
+        ConversionConfig(),
         engine_config=EngineConfig(max_workers=workers, chunk_size=3),
     )
 
@@ -69,7 +62,7 @@ class TestGoldenCorpusDifferential:
 
     def test_serial_converter_identical(self, kb, golden_html, naive_baseline):
         naive_xml, _ = naive_baseline
-        fast = DocumentConverter(kb, ConversionConfig(fast_tagger=True))
+        fast = DocumentConverter(kb, ConversionConfig())
         assert [fast.convert(html).to_xml() for html in golden_html] == naive_xml
 
 
@@ -77,19 +70,13 @@ class TestGeneratedCorpusDifferential:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_generated_corpus_identical(self, kb, small_corpus, workers):
         html = [doc.html for doc in small_corpus]
-        naive = CorpusEngine(
-            kb,
-            ConversionConfig(fast_tagger=False),
-            engine_config=EngineConfig(max_workers=1, chunk_size=4),
+        naive_xml, naive_dtd = serial_baseline(
+            naive_tagger(DocumentConverter(kb)), html
         )
-        naive_corpus = naive.convert_corpus(html)
         fast = fast_engine(kb, workers)
         fast_corpus = fast.convert_corpus(html)
-        assert fast_corpus.xml_documents == naive_corpus.xml_documents
-        assert (
-            fast.discover(fast_corpus.accumulator).dtd.render()
-            == naive.discover(naive_corpus.accumulator).dtd.render()
-        )
+        assert fast_corpus.xml_documents == naive_xml
+        assert fast.discover(fast_corpus.accumulator).dtd.render() == naive_dtd
 
 
 class TestCacheObservability:
@@ -114,16 +101,3 @@ class TestCacheObservability:
         result = fast_engine(kb, 2).convert_corpus(html)
         events = result.stats.tagger_cache_events
         assert events.get("synonym", {}).get("misses", 0) > 0
-
-    def test_no_counters_when_fast_tagger_off(self, kb, small_corpus):
-        html = [doc.html for doc in small_corpus]
-        engine = CorpusEngine(
-            kb,
-            ConversionConfig(fast_tagger=False),
-            engine_config=EngineConfig(max_workers=1, chunk_size=4),
-        )
-        result = engine.convert_corpus(html)
-        assert result.stats.tagger_cache_events == {}
-        assert not any(
-            row[0] == "tagger cache" for row in result.stats.summary_rows()
-        )

@@ -1,8 +1,10 @@
-"""Differential tests: fast tidy on vs. off must be byte-identical.
+"""Differential tests: tidy must be byte-identical to the oracle.
 
 Same guarantee discipline as the fast-parser and fast-tagger harnesses:
 over the golden corpus and a generated corpus, the single-snapshot
-cleanser and the six-traversal legacy cleanser must produce
+cleanser and the six-traversal cleanser of ``tests/oracles/htmlparse.py``
+(run in the product pipeline's place under :func:`oracle_htmlparse`)
+must produce
 
 * byte-identical serialized XML, document for document, and
 * an identical rendered DTD from discovery over the accumulators,
@@ -27,6 +29,8 @@ import pytest
 from repro.convert.config import ConversionConfig
 from repro.convert.pipeline import DocumentConverter
 from repro.runtime.engine import CorpusEngine, EngineConfig
+from tests.oracles import htmlparse as oracle
+from tests.oracles.tagger import naive_tagger
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WORKER_COUNTS = [1, 2, 4]
@@ -41,15 +45,16 @@ def golden_html():
 
 @pytest.fixture(scope="module")
 def legacy_baseline(kb, golden_html):
-    """XML + DTD via the legacy cleanser (fast tidy off), serial."""
-    converter = DocumentConverter(kb, ConversionConfig(fast_tidy=False))
+    """XML + DTD via the oracle cleanser, serial."""
+    converter = DocumentConverter(kb, ConversionConfig())
     engine = CorpusEngine(
         kb,
-        ConversionConfig(fast_tidy=False),
+        ConversionConfig(),
         engine_config=EngineConfig(max_workers=1, chunk_size=3),
     )
-    xml = [converter.convert(html).to_xml() for html in golden_html]
-    corpus = engine.convert_corpus(golden_html)
+    with oracle.oracle_htmlparse(tokenizer=False):
+        xml = [converter.convert(html).to_xml() for html in golden_html]
+        corpus = engine.convert_corpus(golden_html)
     assert corpus.xml_documents == xml
     dtd = engine.discover(corpus.accumulator).dtd.render()
     return xml, dtd
@@ -59,7 +64,7 @@ def fast_engine(kb, workers: int, **engine_kwargs) -> CorpusEngine:
     engine_kwargs.setdefault("chunk_size", 3)
     return CorpusEngine(
         kb,
-        ConversionConfig(fast_tidy=True),
+        ConversionConfig(),
         engine_config=EngineConfig(max_workers=workers, **engine_kwargs),
     )
 
@@ -75,7 +80,7 @@ class TestGoldenCorpusDifferential:
 
     def test_serial_converter_identical(self, kb, golden_html, legacy_baseline):
         legacy_xml, _ = legacy_baseline
-        fast = DocumentConverter(kb, ConversionConfig(fast_tidy=True))
+        fast = DocumentConverter(kb, ConversionConfig())
         assert [fast.convert(html).to_xml() for html in golden_html] == legacy_xml
 
 
@@ -85,10 +90,11 @@ class TestGeneratedCorpusDifferential:
         html = [doc.html for doc in small_corpus]
         legacy = CorpusEngine(
             kb,
-            ConversionConfig(fast_tidy=False),
+            ConversionConfig(),
             engine_config=EngineConfig(max_workers=1, chunk_size=4),
         )
-        legacy_corpus = legacy.convert_corpus(html)
+        with oracle.oracle_htmlparse(tokenizer=False):
+            legacy_corpus = legacy.convert_corpus(html)
         fast = fast_engine(kb, workers)
         fast_corpus = fast.convert_corpus(html)
         assert fast_corpus.xml_documents == legacy_corpus.xml_documents
@@ -100,16 +106,13 @@ class TestGeneratedCorpusDifferential:
 
 class TestAllFastPathsOff:
     def test_every_fast_path_off_identical(self, kb, golden_html, legacy_baseline):
-        """All three fast paths off at once is still byte-identical (no
-        hidden coupling among the parser, tagger, and tidy flags)."""
+        """The oracle tokenizer, the naive tagger and the oracle cleanser
+        at once are still byte-identical (no hidden coupling among the
+        three)."""
         legacy_xml, _ = legacy_baseline
-        naive = DocumentConverter(
-            kb,
-            ConversionConfig(
-                fast_parser=False, fast_tagger=False, fast_tidy=False
-            ),
-        )
-        assert [naive.convert(html).to_xml() for html in golden_html] == legacy_xml
+        naive = naive_tagger(DocumentConverter(kb, ConversionConfig()))
+        with oracle.oracle_htmlparse():
+            assert [naive.convert(html).to_xml() for html in golden_html] == legacy_xml
 
 
 class TestXmlSinkMode:

@@ -1,9 +1,10 @@
-"""Tests for the Tidy-style cleanser, under both implementations.
+"""Tests for the Tidy-style cleanser and its oracle.
 
 Every behavioral test runs twice -- once through the single-snapshot
-fast path and once through the six-traversal legacy path -- so a fix
-that lands in only one implementation fails loudly here before the
-differential suites ever see it.
+cleanser ("fast") and once through the six-traversal oracle in
+tests/oracles/htmlparse.py ("legacy") -- so a fix that lands in only
+one implementation fails loudly here before the differential suites
+ever see it.
 """
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from repro.dom.node import Element, Text
 from repro.htmlparse.parser import body_of, parse_html
 from repro.htmlparse.tidy import tidy
+from tests.oracles import htmlparse as oracle
 
 
 @pytest.fixture(params=[True, False], ids=["fast", "legacy"])
@@ -18,9 +20,13 @@ def fast(request):
     return request.param
 
 
+def cleanser(fast):
+    return tidy if fast else oracle.tidy
+
+
 def tidied(source, fast=True):
     doc = parse_html(source)
-    tidy(doc, fast=fast)
+    cleanser(fast)(doc)
     return body_of(doc)
 
 
@@ -101,7 +107,7 @@ class TestWhitespace:
 
     def test_tidy_returns_root(self, fast):
         doc = parse_html("<p>x</p>")
-        assert tidy(doc, fast=fast) is doc
+        assert cleanser(fast)(doc) is doc
 
 
 class TestIdempotence:
@@ -109,7 +115,7 @@ class TestIdempotence:
         from repro.dom.treeops import deep_equal, clone
 
         doc = parse_html("<h2>T<p>p</p></h2><div><li>a<li>b</div><p><b><b>x</b></b></p>")
-        tidy(doc, fast=fast)
+        cleanser(fast)(doc)
         snapshot = clone(doc)
-        tidy(doc, fast=fast)
+        cleanser(fast)(doc)
         assert deep_equal(doc, snapshot)

@@ -1,17 +1,18 @@
 """Tests for the HTML lexer."""
 
 from repro.htmlparse.tokenizer import Token, TokenType, tokenize
+from tests.oracles import htmlparse as oracle
 
 
 def toks(source):
-    """Tokenize through the fast path, asserting the legacy path agrees.
+    """Tokenize, asserting the oracle tokenizer agrees.
 
     Every example in this file is thereby a differential test: the
-    returned stream is the fast tokenizer's, checked token-for-token
+    returned stream is the product tokenizer's, checked token-for-token
     (source spans included) against the per-character oracle.
     """
-    fast = list(tokenize(source, fast=True))
-    legacy = list(tokenize(source, fast=False))
+    fast = list(tokenize(source))
+    legacy = list(oracle.tokenize(source))
     assert fast == legacy
     assert [(t.start, t.end) for t in fast] == [
         (t.start, t.end) for t in legacy

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +231,47 @@ class TestBenchRegressions:
                 continue
             document = json.loads(path.read_text())
             assert bench_regressions(document, document) == []
+
+
+PINNED_RUN = Path(__file__).parent / "golden" / "runlog" / "fast_flags_config.jsonl"
+
+
+class TestRecordFromBeforeTheFlagRemoval:
+    """A ``kind="run"`` ledger line written while ``ConversionConfig``
+    still carried ``fast_tagger``/``fast_parser``/``fast_tidy``/
+    ``tagger_cache_size`` (``convert-corpus --max-workers 1``).  Removing
+    those fields changed the config fingerprint of every later run, so
+    the record can never be a baseline again; it must stay readable."""
+
+    def test_validates(self):
+        from repro.cli import main
+
+        assert validate_runlog_file(PINNED_RUN) == []
+        assert main(["validate-obs", "--runlog", str(PINNED_RUN)]) == 0
+
+    def test_report_renders(self, capsys):
+        from repro.cli import main
+
+        assert main(["report", str(PINNED_RUN)]) == 0
+        out = capsys.readouterr().out
+        assert "Run report" in out
+        assert "Per-stage latency quantiles" in out
+
+    def test_no_comparable_history_for_a_new_run(self, tmp_path, capsys):
+        from repro.cli import main
+
+        ledger = tmp_path / "runs.jsonl"
+        ledger.write_text(PINNED_RUN.read_text())
+        assert main(
+            ["convert-corpus", "--generate", "6", "--max-workers", "1",
+             "--quiet", "--runlog", str(ledger)]
+        ) == 0
+        old, new = RunLedger(ledger).records()
+        assert old["workers"] == new["workers"] == 1
+        assert old["config_fingerprint"] != new["config_fingerprint"]
+        assert baseline_of_history([old], new) is None
+        assert detect_history_regressions([old, new]) == (None, [])
+        assert isinstance(compare_records(new, old), list)
+        capsys.readouterr()
+        assert main(["runs", str(ledger), "--check"]) == 0
+        assert "no comparable history" in capsys.readouterr().out

@@ -1,9 +1,10 @@
-"""Property-based tests: the fast tokenizer is the legacy tokenizer.
+"""Property-based tests: the tokenizer is the oracle tokenizer.
 
 Hypothesis builds adversarial HTML-ish documents -- well-formed markup,
 truncated constructs, stray angle brackets, exotic whitespace, entity
-fragments -- and asserts the bulk-scanning fast path and the legacy
-per-character scanner are indistinguishable:
+fragments -- and asserts the bulk-scanning tokenizer and the
+per-character scanner of ``tests/oracles/htmlparse.py`` are
+indistinguishable:
 
 * identical token streams, source spans included,
 * identical parse trees after tree construction, and
@@ -21,9 +22,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.dom.node import Element
-from repro.htmlparse.entities import _decode_entities_slow, decode_entities
+from repro.htmlparse.entities import decode_entities
 from repro.htmlparse.parser import parse_html
 from repro.htmlparse.tokenizer import tokenize
+from tests.oracles import htmlparse as oracle
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -93,7 +95,7 @@ documents = st.lists(markup_pieces(), min_size=0, max_size=12).map("".join)
 def token_tuples(source: str, *, fast: bool):
     return [
         (t.type, t.data, t.attrs, t.self_closing, t.start, t.end)
-        for t in tokenize(source, fast=fast)
+        for t in (tokenize if fast else oracle.tokenize)(source)
     ]
 
 
@@ -120,8 +122,8 @@ class TestTokenizerEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(documents)
     def test_parse_trees_identical(self, source):
-        assert tree_shape(parse_html(source, fast=True)) == tree_shape(
-            parse_html(source, fast=False)
+        assert tree_shape(parse_html(source)) == tree_shape(
+            oracle.parse_html(source)
         )
 
 
@@ -149,7 +151,7 @@ class TestSpanInvariants:
     @given(documents)
     def test_legacy_spans_tile_too(self, source):
         assume("<?" not in source)
-        tokens = list(tokenize(source, fast=False))
+        tokens = list(oracle.tokenize(source))
         cursor = 0
         for token in tokens:
             assert token.start == cursor
@@ -162,7 +164,7 @@ class TestEntityDecoderEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="abf012 &;#xX<>é", min_size=0, max_size=40))
     def test_flat_decoder_matches_oracle(self, text):
-        assert decode_entities(text) == _decode_entities_slow(text)
+        assert decode_entities(text) == oracle.decode_entities_slow(text)
 
     @settings(max_examples=100, deadline=None)
     @given(st.text(alphabet="ab ", min_size=0, max_size=20))

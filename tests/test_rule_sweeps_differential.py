@@ -34,10 +34,11 @@ from repro.corpus.noise import NoiseConfig
 from repro.dom.treeops import iter_elements
 from repro.obs.provenance import ProvenanceLog
 from tests.oracles import rules as oracle
+from tests.oracles.tagger import naive_tagger
 
 CONFIGS = {
     "default": {},
-    "naive-tagger": {"fast_tagger": False},
+    "naive-tagger": {},
     "no-split": {"split_multi_instance_tokens": False},
     "no-sibling-constraints": {"use_sibling_constraints": False},
     "min-token-length-4": {"min_token_length": 4},
@@ -81,9 +82,12 @@ def _outcome(result, provenance: ProvenanceLog) -> dict:
     }
 
 
-def assert_sweeps_match_oracle(kb, config, sources, bayes=None):
+def assert_sweeps_match_oracle(kb, config, sources, bayes=None, *, naive=False):
+    """With ``naive`` the oracle rules tag through the naive tagger."""
     product = DocumentConverter(kb, config, bayes=bayes)
     reference = DocumentConverter(kb, config, bayes=bayes)
+    if naive:
+        naive_tagger(reference)
     for position, source in enumerate(sources):
         doc_id = f"doc{position:04d}"
         swept_log, oracle_log = ProvenanceLog(), ProvenanceLog()
@@ -107,7 +111,9 @@ class TestResumeCorpus:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_configurations(self, kb, name):
         config = ConversionConfig(**CONFIGS[name])
-        assert_sweeps_match_oracle(kb, config, resume_sources(1966, 24))
+        assert_sweeps_match_oracle(
+            kb, config, resume_sources(1966, 24), naive=name == "naive-tagger"
+        )
 
     @pytest.mark.parametrize("tagger", TAGGERS)
     def test_taggers(self, kb, bayes, tagger):
@@ -159,7 +165,9 @@ class TestTagSoup:
     @settings(max_examples=150, deadline=None)
     @given(source=soup, name=st.sampled_from(sorted(CONFIGS)))
     def test_configurations(self, kb, source, name):
-        assert_sweeps_match_oracle(kb, ConversionConfig(**CONFIGS[name]), [source])
+        assert_sweeps_match_oracle(
+            kb, ConversionConfig(**CONFIGS[name]), [source], naive=name == "naive-tagger"
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(source=soup, tagger=st.sampled_from(TAGGERS))
